@@ -12,9 +12,11 @@ memoizable.  This module exploits both:
 - :class:`ResultCache` memoizes :class:`CellResult` objects on disk under
   that address, including *negative* results (``OutOfMemoryError``), so
   heap sweeps skip known-infeasible points on reruns;
-- :class:`ExecutionEngine` fans cells out over a ``multiprocessing`` pool
-  (``jobs > 1``) or runs them in-process (``jobs=1``), reporting per-cell
-  timing and failures through a pluggable :class:`ProgressSink`.
+- :class:`ExecutionEngine` runs every batch through one pipeline —
+  cache lookup, grouping of the misses into units, dispatch of the units
+  in-process or over a ``multiprocessing`` pool, and recording of each
+  outcome — reporting per-cell timing and failures through a pluggable
+  :class:`ProgressSink`.
 
 Cache key schema (``ENGINE_SCHEMA_VERSION`` invalidates all entries when
 the simulator's behaviour changes):
@@ -31,8 +33,8 @@ invalidates the ones already computed.
 Determinism guarantee: a cell's result depends only on its key fields.
 The engine therefore produces bit-identical results for any ``jobs``
 value and any cache state, and identical results to the legacy serial
-path, because every path calls ``simulate_run`` with the same arguments
-and the simulator reseeds from them.
+path, because every scalar cell calls ``simulate_run`` with the same
+arguments and the simulator reseeds from them.
 
 Resilience (:mod:`repro.resilience`) extends the guarantee to failure:
 an :class:`~repro.resilience.FaultInjector` injects seeded chaos into
@@ -40,16 +42,17 @@ attempts, a :class:`~repro.resilience.RetryPolicy` bounds timeouts and
 backoff, and a :class:`~repro.resilience.CheckpointJournal` makes
 interrupted sweeps resumable.  Faults replace or delay attempts but
 never perturb a successful simulation, so a chaos run that converges is
-bit-identical to a fault-free one.  All of it is off by default, and the
-fault-free fast path pays a single ``enabled``-style check
-(:attr:`ExecutionEngine.resilient`) before taking the legacy code path.
+bit-identical to a fault-free one.  Every cell runs the same attempt
+loop (:func:`_attempt_cell`) wherever its unit runs; with all of it off
+(the default) the loop makes one attempt, with no timeout thread and no
+injected faults.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
+import itertools
 import json
 import multiprocessing
 import os
@@ -62,7 +65,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, TextIO, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.jvm.collectors import resolve_collector
 from repro.jvm.heap import OutOfMemoryError
@@ -200,7 +203,8 @@ def cell_key(cell: Cell) -> str:
 
 
 def _execute_cell(payload: Tuple[Cell, str]) -> CellResult:
-    """Run one cell (pool worker entry point; must stay module-level)."""
+    """Simulate one cell once; an ``OutOfMemoryError`` becomes a
+    negative result, any other failure propagates."""
     global SIMULATE_CALLS
     cell, key = payload
     config = cell.config
@@ -226,51 +230,111 @@ def _execute_cell(payload: Tuple[Cell, str]) -> CellResult:
     return CellResult(key=key, timed=run.timed, duration_s=time.perf_counter() - started)
 
 
-def _execute_cell_chaos(
-    payload: Tuple[Cell, str, Optional[FaultSpec], int]
-) -> CellResult:
-    """Run one cell under chaos (pool worker entry point).
+def _attempt_cell(
+    cell: Cell, key: str, retry: RetryPolicy, faults: Optional[FaultSpec]
+) -> Tuple[Union[CellResult, Exception], List[tuple]]:
+    """One cell's attempt loop: injected faults, per-attempt timeout,
+    and retry with backoff.
 
-    The injector is rebuilt from its picklable spec in the child and
-    redraws the same deterministic fault decision the parent computed,
-    so injected failures fire *inside* the worker — a crash raised here
-    travels back through ``AsyncResult.get`` exactly like a real worker
-    failure, and a hang really does occupy the worker.
+    Runs wherever the cell's unit runs — inline or inside a pool worker
+    — so each attempt's timeout clock starts when the attempt does,
+    never while the unit waits for a worker, and backoff sleeps where
+    the next attempt will run.  An injected fault fires inside the timed
+    attempt, so a hang really does occupy it; a blown deadline abandons
+    the hung attempt on its daemon thread and the loop moves on.
+
+    Returns the cell's :class:`CellResult` — or its last failure, once
+    that failure is permanent or the retry budget is spent — together
+    with the attempt log: ``("fault", kind, attempt)`` per injected
+    fault, ``("timeout", attempt)`` per blown deadline, and ``("retry",
+    attempt, delay_s, error)`` per retry.  Every decision is a pure
+    function of ``(key, attempt)``, so the log is the same wherever the
+    loop runs.
     """
-    cell, key, spec, attempt = payload
-    if spec is not None:
-        injector = FaultInjector(spec)
+    injector = FaultInjector(faults) if faults is not None else NullInjector()
+    log: List[tuple] = []
+    for attempt in itertools.count():
         kind = injector.decide(key, attempt)
         if kind is not None:
-            injector.fire(kind, key, attempt)
-    return _execute_cell((cell, key))
+            log.append(("fault", kind, attempt))
+
+        def run(payload, kind=kind, attempt=attempt):
+            if kind is not None:
+                injector.fire(kind, key, attempt)
+            return _execute_cell(payload)
+
+        try:
+            if retry.cell_timeout_s is None:
+                return run((cell, key)), log
+            return _call_with_timeout(run, (cell, key), retry.cell_timeout_s, key), log
+        except Exception as exc:  # the cell's boundary: every failure is an outcome
+            if isinstance(exc, CellTimeout):
+                log.append(("timeout", attempt))
+            if classify(exc) != "transient" or attempt + 1 >= retry.max_attempts:
+                return exc, log
+            delay = retry.delay_s(key, attempt)
+            log.append(("retry", attempt, delay, str(exc)))
+            time.sleep(delay)
 
 
-def _execute_cell_chaos_bounded(
-    payload: Tuple[Cell, str, Optional[FaultSpec], int, Optional[float]]
-) -> CellResult:
-    """Run one chaos attempt under its own deadline (pool worker entry
-    point).
+def _run_unit(
+    unit: Tuple[Tuple[Tuple[Cell, str], ...], bool, RetryPolicy, Optional[FaultSpec]]
+) -> List[tuple]:
+    """Run one unit of cache misses and return each cell's ``(outcome,
+    attempt log)`` in unit order (pool worker entry point; must stay
+    module-level).
 
-    The timeout clock starts *here*, when a worker actually dequeues
-    the attempt — never in the parent at submission time — so queue
-    wait behind a busy pool is not charged against the cell.  A blown
-    deadline raises :class:`~repro.resilience.CellTimeout` back through
-    the normal result channel while the hung attempt is abandoned on a
-    daemon thread: the worker itself moves on to the next task, so a
-    hang never saturates the pool.
+    A unit is ``(cells, row, retry, faults)``.  A *row* runs as one
+    :func:`repro.jvm.batch.simulate_batch` call whose wall time is split
+    evenly across its cells, so per-cell durations stay meaningful to
+    sinks; a kernel failure fails every cell of the row.  Any other unit
+    runs its cells one after another through :func:`_attempt_cell`.
     """
-    cell, key, spec, attempt, timeout_s = payload
-    inner = (cell, key, spec, attempt)
-    if timeout_s is None:
-        return _execute_cell_chaos(inner)
-    return _call_with_timeout(_execute_cell_chaos, inner, timeout_s, key)
+    global SIMULATE_CALLS
+    pairs, row, retry, faults = unit
+    if not row:
+        return [_attempt_cell(cell, key, retry, faults) for cell, key in pairs]
+    from repro.jvm.batch import BatchCell, BatchSpec, simulate_batch
+
+    first = pairs[0][0]
+    config = first.config
+    started = time.perf_counter()
+    try:
+        batch = simulate_batch(
+            BatchSpec(
+                collector=first.collector,
+                cells=tuple(
+                    BatchCell(spec=c.spec, heap_mb=c.heap_mb, invocation=c.invocation)
+                    for c, _ in pairs
+                ),
+                iterations=config.iterations,
+                machine=config.machine,
+                tuning=config.tuning,
+                duration_scale=config.duration_scale,
+                environment=config.environment,
+            )
+        )
+    except Exception as exc:  # the row's boundary, as in _attempt_cell
+        return [(exc, []) for _ in pairs]
+    SIMULATE_CALLS += len(pairs)
+    per_cell_s = (time.perf_counter() - started) / len(pairs)
+    return [
+        (
+            CellResult(
+                key=key,
+                timed=outcome.run.timed if outcome.ok else None,
+                oom=outcome.oom,
+                duration_s=per_cell_s,
+            ),
+            [],
+        )
+        for (_, key), outcome in zip(pairs, batch.outcomes)
+    ]
 
 
 def _call_with_timeout(fn, payload, timeout_s: float, key: str) -> CellResult:
-    """Run ``fn(payload)`` with a wall-clock bound (used by the serial
-    path in-process and by pool workers via
-    :func:`_execute_cell_chaos_bounded`).
+    """Run ``fn(payload)`` with a wall-clock bound (one timed attempt of
+    :func:`_attempt_cell`, inline or in a pool worker).
 
     The attempt runs on a named daemon thread (``chopin-cell-<key8>``,
     so a thread dump attributes stragglers to their cell) joined with
@@ -595,7 +659,8 @@ class ExecutionEngine:
     pickling, identical to the legacy serial path.  ``jobs>1`` fans
     cache-misses out over ``multiprocessing``; results are deterministic
     either way (see the module docstring).  Passing ``cache_dir`` enables
-    the content-addressed result cache.
+    the content-addressed result cache.  :meth:`run_cells` documents the
+    one pipeline every batch takes.
 
     ``recorder`` attaches a flight recorder
     (:class:`repro.observability.Recorder`): each batch then emits cell
@@ -614,9 +679,10 @@ class ExecutionEngine:
     :class:`~repro.resilience.FaultInjector` injecting seeded chaos into
     attempts), and ``checkpoint`` (a
     :class:`~repro.resilience.CheckpointJournal` — or a path to one —
-    journalling completed cells so interrupted sweeps resume).  When none
-    is active, :attr:`resilient` is False and ``run_cells`` takes the
-    exact legacy code path.
+    journalling completed cells so interrupted sweeps resume).  Retry,
+    timeout and chaos act inside each cell's attempt loop, wherever the
+    cell runs; the checkpoint journal is appended as each result is
+    recorded.
 
     ``supervisor`` attaches a :class:`~repro.resilience.Supervisor`: the
     engine then consults it before starting each cache-missed cell
@@ -647,12 +713,14 @@ class ExecutionEngine:
             raise ValueError("pass cache_dir or a cache instance, not both")
         self.jobs = jobs
         #: Vectorized batch execution (opt-in): cache-missed cells at
-        #: aggregate fidelity are grouped by collector and simulated in
-        #: one :func:`repro.jvm.batch.simulate_batch` call per group.
-        #: Cell keys, cache entries, progress callbacks, and fail-fast
-        #: semantics are unchanged — batching is engine-internal — but
-        #: results match the scalar path to BATCH_TOLERANCE rather than
-        #: bit-exactly, which is why it is off by default.
+        #: aggregate fidelity are grouped into rows by collector and
+        #: config, each simulated in one
+        #: :func:`repro.jvm.batch.simulate_batch` call (see
+        #: :meth:`_group`).  Cell keys, cache entries, progress
+        #: callbacks, and fail-fast semantics are unchanged — batching is
+        #: a grouping decision — but results match the scalar path to
+        #: BATCH_TOLERANCE rather than bit-exactly, which is why it is
+        #: off by default.
         self.batch = batch
         # ``cache`` accepts a ready-made ResultCache (e.g. one shared
         # ShardedResultCache tenanted across a service's worker engines);
@@ -667,9 +735,9 @@ class ExecutionEngine:
         if isinstance(checkpoint, (str, Path)):
             checkpoint = CheckpointJournal(checkpoint)
         self.checkpoint = checkpoint
-        # An attached supervisor routes execution through the resilient
-        # path (where admission checks live) even when it has no budget
-        # or breaker — a signal-initiated drain must still work.
+        # An attached supervisor admits every miss cell by cell even when
+        # it has no budget or breaker — a signal-initiated drain must
+        # still work.
         self._supervised = supervisor is not None
         self.supervisor = supervisor if supervisor is not None else Supervisor()
         self.stats = EngineStats()
@@ -698,9 +766,9 @@ class ExecutionEngine:
 
     @property
     def resilient(self) -> bool:
-        """True when any resilience collaborator is active — the single
-        check the fault-free fast path pays (the ``NullRecorder``
-        pattern: one branch, then the legacy code verbatim)."""
+        """True when any resilience collaborator is active.  A resilient
+        engine groups no batch-kernel rows: retries, timeouts, chaos and
+        admission all act cell by cell."""
         return (
             self.injector.enabled
             or self.retry.active
@@ -716,23 +784,28 @@ class ExecutionEngine:
     ) -> Union[List[CellResult], PartialBatch]:
         """Execute a batch, returning results in input order.
 
-        Cache hits never execute; misses are simulated (in parallel when
-        ``jobs>1``) and written back.  With ``fail_fast`` and ``jobs=1``,
-        the first ``OutOfMemoryError`` short-circuits the rest of the
-        batch: remaining cells come back as uncached ``skipped``
-        placeholders carrying the same message — callers that raise on
-        the first failure (like ``measure``) never observe them.  With
-        ``jobs>1`` fail-fast is a no-op: the pool runs everything, and
-        parallelism pays for the wasted cells.
+        One pipeline serves every engine: look each cell up in the
+        cache, group the misses into units (:meth:`_group`), dispatch
+        the units, and record each outcome.  Cache hits never execute.
+        Units run inline when ``jobs == 1`` or there is only one unit,
+        and otherwise over a pool that keeps at most one unit per worker
+        in flight; either way each cell runs the same attempt loop
+        (:func:`_attempt_cell`), so the retry policy and the chaos
+        injector apply wherever it runs.
 
-        When the engine is :attr:`resilient`, every miss runs under the
-        retry policy (and the chaos injector, when one is attached).  A
-        cell that exhausts its budget raises
-        :class:`~repro.resilience.CellExecutionError` — unless
-        ``partial`` is set, in which case the return value becomes a
-        :class:`PartialBatch` whose ``holes`` report (cell, attempts,
-        last error) instead of raising.  ``partial`` changes only the
-        return *shape* for non-resilient engines (no holes possible).
+        An inline run fires progress callbacks in input order and honours
+        ``fail_fast``: the first ``OutOfMemoryError`` short-circuits the
+        rest of the batch, whose remaining misses come back as uncached
+        ``skipped`` placeholders carrying the same message — callers
+        that raise on the first failure (like ``measure``) never observe
+        them.  A pooled run ignores ``fail_fast``: the pool runs
+        everything, and parallelism pays for the wasted cells.
+
+        A cell that fails permanently, or exhausts its retry budget,
+        raises :class:`~repro.resilience.CellExecutionError` chained to
+        its last failure — unless ``partial`` is set, in which case the
+        return value becomes a :class:`PartialBatch` whose ``holes``
+        report (cell, attempts, last error) instead of raising.
         """
         keyed = [(cell, cell_key(cell)) for cell in cells]
         self.progress.batch_started(len(keyed))
@@ -769,34 +842,12 @@ class ExecutionEngine:
         if self.cache is not None:
             self.stats.corrupt += self.cache.corrupt - cache_corrupt_before
 
-        if self.resilient:
-            holes = self._run_resilient(keyed, misses, results, fail_fast, partial)
-        elif self.batch and misses:
-            self._run_batched(keyed, misses, results, fail_fast)
-        elif self.jobs > 1 and len(misses) > 1:
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-            with ctx.Pool(min(self.jobs, len(misses))) as pool:
-                executed = pool.map(_execute_cell, [keyed[i] for i in misses])
-            for idx, result in zip(misses, executed):
-                results[idx] = result
-                self._record(keyed[idx][0], result)
-        else:
-            oom_message: Optional[str] = None
-            for idx in misses:
-                cell, key = keyed[idx]
-                if oom_message is not None:
-                    result = CellResult(key=key, timed=None, oom=oom_message, skipped=True)
-                    results[idx] = result
-                    self.stats.skipped += 1
-                    self.progress.cell_finished(cell, result, from_cache=False)
-                    continue
-                result = _execute_cell((cell, key))
-                results[idx] = result
-                self._record(cell, result)
-                if fail_fast and result.oom is not None:
-                    oom_message = result.oom
+        if misses:
+            units = self._group(keyed, misses)
+            if self.jobs == 1 or len(units) == 1:
+                self._dispatch_inline(keyed, units, results, holes, fail_fast, partial)
+            else:
+                self._dispatch_pool(keyed, units, results, holes, partial)
 
         # Consume supervision incidents whether or not anyone records
         # them, so the list never grows without bound across batches.
@@ -818,110 +869,86 @@ class ExecutionEngine:
             return PartialBatch(results=list(results), holes=holes)
         return [r for r in results if r is not None]
 
-    def _run_batched(
-        self,
-        keyed: Sequence[Tuple[Cell, str]],
-        misses: Sequence[int],
-        results: List[Optional[CellResult]],
-        fail_fast: bool,
-    ) -> None:
-        """Execute cache misses through the vectorized batch kernel.
+    def _group(
+        self, keyed: Sequence[Tuple[Cell, str]], misses: Sequence[int]
+    ) -> List[Tuple[bool, List[int]]]:
+        """Group cache misses into units of work, as ``(row, indices)``.
 
-        Misses at aggregate fidelity are grouped by ``(collector, config
+        With ``batch`` on and the engine not :attr:`resilient`, misses at
+        aggregate fidelity form one *row* per ``(collector, config
         identity)`` — the two axes :func:`repro.jvm.batch.simulate_batch`
-        shares across a batch — and each group runs as one struct-of-
-        arrays simulation; everything else (full/auto fidelity) falls
-        back to the scalar path cell by cell.  Results are then consumed
-        **in input order**, so observable behaviour matches the serial
-        path exactly: per-cell progress callbacks fire in the same order,
-        cache writes use the same keys, and with ``fail_fast`` (at
-        ``jobs=1``, as on the scalar path) every cell after the first
-        ``OutOfMemoryError`` becomes an uncached ``skipped`` placeholder
-        — its already-computed batch result is discarded, mirroring how
-        the serial loop never executes those cells.  ``SIMULATE_CALLS``
-        is charged one per *kept* batch result, so the warm-cache
-        zero-simulation guarantee holds identically.
+        shares across a batch.  Every other miss goes into a contiguous
+        chunk of ⌈misses / (4 × workers)⌉ cells (``Pool.map``'s own chunk
+        rule) when the pool will run it and no supervisor is attached,
+        and is a unit on its own otherwise: supervision admits cell by
+        cell (budget, breaker, drain), and an inline run takes cells one
+        at a time.  Chunks of more than one cell only arise when there
+        are several of them, so they always go to the pool.
         """
-        global SIMULATE_CALLS
-        from repro.jvm.batch import BatchCell, BatchSpec, simulate_batch
-
-        groups: Dict[Tuple[str, int], List[int]] = {}
+        rows: Dict[Tuple[str, int], List[int]] = {}
+        rest: List[int] = []
+        batchable = self.batch and not self.resilient
         for idx in misses:
             cell = keyed[idx][0]
-            if getattr(cell.config, "fidelity", None) == "aggregate":
-                groups.setdefault((cell.collector, id(cell.config)), []).append(idx)
-        outcomes: Dict[int, CellResult] = {}
-        for (collector, _), indices in groups.items():
-            config = keyed[indices[0]][0].config
-            batch_cells = tuple(
-                BatchCell(
-                    spec=keyed[i][0].spec,
-                    heap_mb=keyed[i][0].heap_mb,
-                    invocation=keyed[i][0].invocation,
-                )
-                for i in indices
-            )
-            started = time.perf_counter()
-            batch = simulate_batch(
-                BatchSpec(
-                    collector=collector,
-                    cells=batch_cells,
-                    iterations=config.iterations,
-                    machine=config.machine,
-                    tuning=config.tuning,
-                    duration_scale=config.duration_scale,
-                    environment=config.environment,
-                )
-            )
-            # The batch is one shared pass: attribute its wall time
-            # evenly so per-cell durations stay meaningful to sinks.
-            per_cell_s = (time.perf_counter() - started) / len(indices)
-            for i, outcome in zip(indices, batch.outcomes):
-                key = keyed[i][1]
-                if outcome.ok:
-                    outcomes[i] = CellResult(
-                        key=key, timed=outcome.run.timed, duration_s=per_cell_s
-                    )
-                else:
-                    outcomes[i] = CellResult(
-                        key=key, timed=None, oom=outcome.oom, duration_s=per_cell_s
-                    )
-        oom_message: Optional[str] = None
-        for idx in misses:
-            cell, key = keyed[idx]
-            if oom_message is not None:
-                result = CellResult(key=key, timed=None, oom=oom_message, skipped=True)
-                results[idx] = result
-                self.stats.skipped += 1
-                self.progress.cell_finished(cell, result, from_cache=False)
-                continue
-            result = outcomes.get(idx)
-            if result is None:
-                result = _execute_cell((cell, key))
+            if batchable and cell.config.fidelity == "aggregate":
+                rows.setdefault((cell.collector, id(cell.config)), []).append(idx)
             else:
-                SIMULATE_CALLS += 1
-            results[idx] = result
-            self._record(cell, result)
-            if fail_fast and self.jobs == 1 and result.oom is not None:
-                oom_message = result.oom
+                rest.append(idx)
+        size = 1
+        if self.jobs > 1 and not self._supervised and rest:
+            size = -(-len(rest) // (4 * self.jobs))
+        return [(True, row) for row in rows.values()] + [
+            (False, rest[i : i + size]) for i in range(0, len(rest), size)
+        ]
 
-    def _run_resilient(
+    def _admit(
         self,
         keyed: Sequence[Tuple[Cell, str]],
-        misses: Sequence[int],
+        unit: Tuple[bool, List[int]],
+        holes: List[Hole],
+        partial: bool,
+    ) -> Tuple[List[int], tuple]:
+        """Ask the supervisor, as a unit is dispatched, whether each of
+        its cells may start.  Refused cells become typed holes; returns
+        the admitted indices and the :func:`_run_unit` payload that runs
+        them."""
+        row, indices = unit
+        admitted = list(indices)
+        if self._supervised:
+            admitted = []
+            for idx in indices:
+                cell, key = keyed[idx]
+                refused = self.supervisor.admit(cell.spec.name, cell.collector)
+                if refused is None:
+                    admitted.append(idx)
+                    continue
+                reason, detail = refused
+                hole = Hole(cell=cell, key=key, attempts=0, error=detail, reason=reason)
+                self._skip_supervised(hole, holes, partial)
+        faults = self.injector.spec if self.injector.enabled else None
+        return admitted, (tuple(keyed[i] for i in admitted), row, self.retry, faults)
+
+    def _dispatch_inline(
+        self,
+        keyed: Sequence[Tuple[Cell, str]],
+        units: Sequence[Tuple[bool, List[int]]],
         results: List[Optional[CellResult]],
+        holes: List[Hole],
         fail_fast: bool,
         partial: bool,
-    ) -> List[Hole]:
-        """Execute cache misses under the retry policy (and the chaos
-        injector), serially or over the pool.  Returns the holes; raises
-        :class:`~repro.resilience.CellExecutionError` instead when
-        ``partial`` is not set."""
-        if self.jobs > 1 and len(misses) > 1:
-            return self._run_resilient_pool(keyed, misses, results, partial)
-        holes: List[Hole] = []
+    ) -> None:
+        """Run units in-process, recording misses in input order.
+
+        A unit runs when its first cell comes up, so a row's later cells
+        pick up lanes already computed.  With ``fail_fast`` every miss
+        after the first ``OutOfMemoryError`` becomes an uncached
+        ``skipped`` placeholder: a row's computed lanes past that point
+        are discarded, and a unit not yet started never runs.
+        """
+        first = {indices[0]: (row, indices) for row, indices in units}
+        outcomes: Dict[int, tuple] = {}
         oom_message: Optional[str] = None
-        for idx in misses:
+        for idx in sorted(i for _, indices in units for i in indices):
             cell, key = keyed[idx]
             if oom_message is not None:
                 result = CellResult(key=key, timed=None, oom=oom_message, skipped=True)
@@ -929,188 +956,90 @@ class ExecutionEngine:
                 self.stats.skipped += 1
                 self.progress.cell_finished(cell, result, from_cache=False)
                 continue
-            refused = self._supervise_admit(cell, key)
-            if refused is not None:
-                self._skip_supervised(refused, holes, partial)
-                continue
-            outcome = self._attempt_serial(cell, key, idx)
-            if isinstance(outcome, Hole):
-                self._give_up(outcome, holes, partial)
-                continue
-            results[idx] = outcome
-            self._finish_executed(idx, cell, key, outcome)
-            if fail_fast and outcome.oom is not None:
-                oom_message = outcome.oom
-        return holes
+            if idx in first:
+                admitted, payload = self._admit(keyed, first[idx], holes, partial)
+                if admitted:
+                    outcomes.update(zip(admitted, _run_unit(payload)))
+            if idx not in outcomes:
+                continue  # refused by the supervisor
+            self._settle(keyed, idx, *outcomes.pop(idx), results, holes, partial)
+            result = results[idx]
+            if fail_fast and result is not None and result.oom is not None:
+                oom_message = result.oom
 
-    def _attempt_serial(self, cell: Cell, key: str, idx: int):
-        """One cell's attempt loop (in-process): returns a
-        :class:`CellResult` on success or a :class:`Hole` on exhaustion."""
-        policy = self.retry
-        spec = self.injector.spec if self.injector.enabled else None
-        for attempt in range(policy.max_attempts):
-            self._log_fault_decision(key, idx, attempt)
-            payload = (cell, key, spec, attempt)
-            try:
-                if policy.cell_timeout_s is not None:
-                    result = _call_with_timeout(
-                        _execute_cell_chaos, payload, policy.cell_timeout_s, key
-                    )
-                else:
-                    result = _execute_cell_chaos(payload)
-            except Exception as exc:
-                delay = self._charge_failure(key, idx, attempt, exc)
-                if delay is None:
-                    return Hole(
-                        cell=cell,
-                        key=key,
-                        attempts=attempt + 1,
-                        error=str(exc),
-                        reason="timeout" if isinstance(exc, CellTimeout) else "gave_up",
-                    )
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            return result
-        raise AssertionError("attempt loop must return")  # pragma: no cover
-
-    def _run_resilient_pool(
+    def _dispatch_pool(
         self,
         keyed: Sequence[Tuple[Cell, str]],
-        misses: Sequence[int],
+        units: Sequence[Tuple[bool, List[int]]],
         results: List[Optional[CellResult]],
+        holes: List[Hole],
         partial: bool,
-    ) -> List[Hole]:
-        """Sliding-window pool scheduling: at most one task per worker
-        is ever in flight, so a submitted attempt starts executing
-        immediately and its timeout — enforced *inside* the worker from
-        the attempt's actual start (:func:`_execute_cell_chaos_bounded`)
-        — never charges time spent queued behind pool capacity.  A
-        timed-out attempt comes back as a normal
-        :class:`~repro.resilience.CellTimeout` failure and its worker
-        frees itself (the hung simulation is abandoned on a daemon
-        thread, like a hung forked JVM), so no stale work is ever left
-        queued to delay or starve later retries.  Cells backing off nap
-        in a schedule heap without occupying a worker slot, so backoff
-        cost never blocks cells that are ready to run."""
-        policy = self.retry
-        spec = self.injector.spec if self.injector.enabled else None
-        holes: List[Hole] = []
+    ) -> None:
+        """Run units over a worker pool with at most one unit per worker
+        in flight, recording outcomes as units complete.
+
+        The window keeps admission current — a unit's cells are admitted
+        when it is dispatched, so a drain or an open breaker refuses
+        cells that have not started — and a dispatched unit starts at
+        once, so no unit waits in a queue behind pool capacity.
+        """
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
-        workers = min(self.jobs, len(misses))
+        workers = min(self.jobs, len(units))
         done: "queue.SimpleQueue" = queue.SimpleQueue()
-        attempts = {idx: 0 for idx in misses}  # next attempt number per cell
-        ready = deque(misses)  # cells ready to dispatch, FIFO
-        napping: List[Tuple[float, int]] = []  # (wake_at, idx) backoff heap
-        inflight: Set[int] = set()
+        pending = deque(units)
+        inflight = 0
         with ctx.Pool(workers) as pool:
-            while ready or napping or inflight:
-                now = time.monotonic()
-                if self._supervised and self.supervisor.draining:
-                    # A drain refuses everything anyway — wake the
-                    # nappers now instead of sleeping out their backoff.
-                    while napping:
-                        ready.append(heapq.heappop(napping)[1])
-                while napping and napping[0][0] <= now:
-                    ready.append(heapq.heappop(napping)[1])
-                while ready and len(inflight) < workers:
-                    idx = ready.popleft()
-                    cell, key = keyed[idx]
-                    refused = self._supervise_admit(cell, key)
-                    if refused is not None:
-                        self._skip_supervised(refused, holes, partial)
-                        continue
-                    attempt = attempts[idx]
-                    self._log_fault_decision(key, idx, attempt)
-                    inflight.add(idx)
-                    pool.apply_async(
-                        _execute_cell_chaos_bounded,
-                        ((cell, key, spec, attempt, policy.cell_timeout_s),),
-                        callback=lambda res, idx=idx: done.put((idx, res, None)),
-                        error_callback=lambda exc, idx=idx: done.put((idx, None, exc)),
-                    )
-                if not inflight:
-                    # Nothing running: either everyone is napping (sleep
-                    # to the next wake) or the supervisor refused every
-                    # ready cell and the loop is about to finish.
-                    if napping:
-                        time.sleep(max(0.0, napping[0][0] - time.monotonic()))
-                    continue
-                try:
-                    # With a free worker and nappers pending, wake up in
-                    # time to redispatch them even if nothing completes.
-                    timeout = (
-                        max(0.0, napping[0][0] - time.monotonic())
-                        if napping and len(inflight) < workers
-                        else None
-                    )
-                    idx, result, error = done.get(timeout=timeout)
-                except queue.Empty:
-                    continue
-                inflight.discard(idx)
-                cell, key = keyed[idx]
-                if error is not None:
-                    attempt = attempts[idx]
-                    attempts[idx] = attempt + 1
-                    delay = self._charge_failure(key, idx, attempt, error)
-                    if delay is None:
-                        hole = Hole(
-                            cell=cell,
-                            key=key,
-                            attempts=attempt + 1,
-                            error=str(error),
-                            reason=(
-                                "timeout"
-                                if isinstance(error, CellTimeout)
-                                else "gave_up"
-                            ),
+            while pending or inflight:
+                while pending and inflight < workers:
+                    admitted, payload = self._admit(keyed, pending.popleft(), holes, partial)
+                    if admitted:
+                        pool.apply_async(
+                            _run_unit,
+                            (payload,),
+                            callback=lambda out, unit=admitted: done.put((unit, out)),
+                            error_callback=lambda exc: done.put((None, exc)),
                         )
-                        self._give_up(hole, holes, partial)
-                    elif delay > 0:
-                        heapq.heappush(napping, (time.monotonic() + delay, idx))
-                    else:
-                        ready.append(idx)
-                    continue
-                results[idx] = result
-                self._finish_executed(idx, cell, key, result)
-        return holes
+                        inflight += 1
+                if inflight:
+                    unit, out = done.get()
+                    inflight -= 1
+                    if unit is None:
+                        raise out
+                    for idx, outcome in zip(unit, out):
+                        self._settle(keyed, idx, *outcome, results, holes, partial)
 
-    def _log_fault_decision(self, key: str, idx: int, attempt: int) -> None:
-        """Record the injector's (deterministic) call for this attempt so
-        the flight recorder can show it — the parent redraws the same
-        decision the worker will, which is what seeded injection buys."""
-        if self.injector.enabled:
-            kind = self.injector.decide(key, attempt)
-            if kind is not None:
-                self._attempt_log.setdefault(idx, []).append(("fault", kind, attempt))
-
-    def _charge_failure(
-        self, key: str, idx: int, attempt: int, exc: Exception
-    ) -> Optional[float]:
-        """Account for one failed attempt.  Returns the backoff delay to
-        charge before retrying, or None when the cell must give up
-        (permanent failure, or budget exhausted)."""
-        if isinstance(exc, CellTimeout):
-            self.stats.timeouts += 1
-        if classify(exc) != "transient" or attempt + 1 >= self.retry.max_attempts:
-            return None
-        delay = self.retry.delay_s(key, attempt)
-        self.stats.retries += 1
-        self._attempt_log.setdefault(idx, []).append(("retry", attempt, delay, str(exc)))
-        return delay
-
-    def _supervise_admit(self, cell: Cell, key: str) -> Optional[Hole]:
-        """Ask the supervisor whether a pending miss may start.  Returns
-        the typed hole to record when it may not (None: admitted)."""
-        if not self._supervised:
-            return None
-        refused = self.supervisor.admit(cell.spec.name, cell.collector)
-        if refused is None:
-            return None
-        reason, detail = refused
-        return Hole(cell=cell, key=key, attempts=0, error=detail, reason=reason)
+    def _settle(
+        self,
+        keyed: Sequence[Tuple[Cell, str]],
+        idx: int,
+        outcome: Union[CellResult, Exception],
+        log: List[tuple],
+        results: List[Optional[CellResult]],
+        holes: List[Hole],
+        partial: bool,
+    ) -> None:
+        """Record one dispatched miss: charge its attempt log, then keep
+        its result or give the cell up."""
+        cell, key = keyed[idx]
+        retries = sum(1 for record in log if record[0] == "retry")
+        self.stats.retries += retries
+        self.stats.timeouts += sum(1 for record in log if record[0] == "timeout")
+        if log:
+            self._attempt_log[idx] = log
+        if isinstance(outcome, CellResult):
+            results[idx] = outcome
+            self._record(idx, cell, key, outcome)
+            return
+        hole = Hole(
+            cell=cell,
+            key=key,
+            attempts=retries + 1,
+            error=str(outcome),
+            reason="timeout" if isinstance(outcome, CellTimeout) else "gave_up",
+        )
+        self._give_up(hole, holes, partial, outcome)
 
     def _skip_supervised(self, hole: Hole, holes: List[Hole], partial: bool) -> None:
         """A cell the supervisor refused to start: count it under its
@@ -1129,26 +1058,34 @@ class ExecutionEngine:
         holes.append(hole)
         self.progress.cell_failed(hole.cell, hole)
 
-    def _give_up(self, hole: Hole, holes: List[Hole], partial: bool) -> None:
-        """A cell exhausted its budget: hole in partial mode, raise in
-        strict mode.  The supervisor hears about it first — a cell-level
-        give-up is what trips the family's circuit breaker."""
+    def _give_up(
+        self, hole: Hole, holes: List[Hole], partial: bool, cause: Exception
+    ) -> None:
+        """A cell exhausted its budget: hole in partial mode, raise
+        (chained to ``cause``) in strict mode.  The supervisor hears
+        about it first — a cell-level give-up is what trips the family's
+        circuit breaker."""
         self.stats.gave_up += 1
         if self._supervised:
             self.supervisor.record_failure(hole.cell.spec.name, hole.cell.collector)
         if not partial:
-            raise CellExecutionError(hole.key, hole.attempts, hole.error)
+            raise CellExecutionError(hole.key, hole.attempts, hole.error) from cause
         holes.append(hole)
         self.progress.cell_failed(hole.cell, hole)
 
-    def _finish_executed(
-        self, idx: int, cell: Cell, key: str, result: CellResult
-    ) -> None:
-        """Post-success bookkeeping on the resilient path: stats + cache
-        (via ``_record``), checkpoint journal, and injected cache-entry
-        corruption (*after* the write, so the tear is observed by the
-        next reader, exactly like real disk rot)."""
-        self._record(cell, result)
+    def _record(self, idx: int, cell: Cell, key: str, result: CellResult) -> None:
+        """Account for one freshly-executed cell and persist it, in this
+        order: stats and cache write, progress callback, supervisor cost
+        model, checkpoint journal, then injected cache-entry corruption
+        (*after* the write, so the tear is observed by the next reader,
+        exactly like real disk rot)."""
+        self.stats.executed += 1
+        self.stats.execute_s += result.duration_s
+        if result.oom is not None:
+            self.stats.oom += 1
+        if self.cache is not None:
+            self.cache.put(result)
+        self.progress.cell_finished(cell, result, from_cache=False)
         if self._supervised:
             # Feed the cost model (and close any half-open breaker): a
             # negative result still counts — the harness *ran* the cell.
@@ -1237,7 +1174,7 @@ class ExecutionEngine:
                             kind=record[1], attempt=record[2],
                         )
                     )
-                else:
+                elif record[0] == "retry":
                     recorder.emit(
                         flight.RetryAttempt(
                             ts=start, track=track, key=key,
@@ -1297,16 +1234,6 @@ class ExecutionEngine:
                 cells=len(keyed),
             )
         )
-
-    def _record(self, cell: Cell, result: CellResult) -> None:
-        """Account for one freshly-executed cell and persist it."""
-        self.stats.executed += 1
-        self.stats.execute_s += result.duration_s
-        if result.oom is not None:
-            self.stats.oom += 1
-        if self.cache is not None:
-            self.cache.put(result)
-        self.progress.cell_finished(cell, result, from_cache=False)
 
 
 def engine_from_env(environ=os.environ) -> ExecutionEngine:

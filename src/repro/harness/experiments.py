@@ -269,11 +269,8 @@ def run_campaign(
         return_stats=True,
         supervisor=supervisor,
     )
-    cells = (
-        plan.cell_count
-        if plan.cell_count
-        else stats.executed + stats.cached + stats.negative_hits + len(holes)
-    )
+    # ``stats.cells`` already counts negative hits (they are cached).
+    cells = plan.cell_count if plan.cell_count else stats.cells + len(holes)
     return Campaign(
         kind=kind,
         cells=cells,
