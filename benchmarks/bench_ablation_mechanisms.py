@@ -20,7 +20,7 @@ from _common import save
 from repro import RunConfig, registry
 from repro.harness.report import format_table
 from repro.harness.runner import measure
-from repro.jvm.collectors.base import GcTuning
+from repro.jvm.collectors.base import CyclePlan, GcTuning
 from repro.jvm.collectors.shenandoah import ShenandoahCollector
 from repro.jvm.collectors.zgc import ZgcCollector
 from repro.jvm.cpu import Machine
@@ -35,10 +35,17 @@ class UnpacedShenandoah(ShenandoahCollector):
     NAME = "Shenandoah(nopace)"
 
     def plan_cycle(self, heap):
+        # A new plan, not a mutated one: plans may share pause tuples.
         plan = super().plan_cycle(heap)
-        from dataclasses import replace
-
-        return replace(plan, pace_alloc_to_mb_s=None)
+        return CyclePlan(
+            kind=plan.kind,
+            pre_pauses=plan.pre_pauses,
+            concurrent_work_mb=plan.concurrent_work_mb,
+            concurrent_threads=plan.concurrent_threads,
+            post_pauses=plan.post_pauses,
+            full_live_target_mb=plan.full_live_target_mb,
+            pace_alloc_to_mb_s=None,
+        )
 
 
 class CompressedOopsZgc(ZgcCollector):

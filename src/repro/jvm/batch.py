@@ -306,13 +306,6 @@ class _BatchSim:
         self.eff_e = tuning.efficiency_exponent
         self.hw = batch.machine.hardware_threads
         self.interference_per_thread = batch.machine.concurrent_interference
-        # Python-pow speedup LUT for integer team sizes: parallel_speedup
-        # truncates its argument to int, so a table reproduces it exactly
-        # (np.power on arrays is the one op that can differ by 1 ulp).
-        self.speedup_lut = np.array(
-            [float(max(1, min(i, self.hw))) ** self.eff_e for i in range(self.hw + 1)],
-            dtype=f64,
-        )
 
         # --- the state matrix ------------------------------------------
         # Signature rows [0, s0): everything the next step's dynamics
@@ -500,11 +493,14 @@ class _BatchSim:
             started = self.wall.copy()
             heap_before = self.live + self.young
             young_at_start = self.young.copy() if needs_yas else None
-            kernel.run_cycle(act_c, started, heap_before, young_at_start)
+            entering = kernel.run_cycle(act_c, started, heap_before, young_at_start)
 
             # Footprint fold (AggregateTelemetry.record_collection inline).
+            # Like the scalar path, it starts from the cycle-start
+            # occupancy, while reclaimed space is measured from what
+            # entered the heap effect, floating garbage included.
             occ_after = self.live + self.young
-            reclaimed = heap_before - occ_after
+            reclaimed = entering - occ_after
             dt = np.maximum(started - self.prev_time, 0.0)
             self.area += np.where(act_c, dt * (self.prev_occ + heap_before) / 2.0, 0.0)
             _set(self.prev_time, started, act_c)
@@ -719,7 +715,10 @@ class _Kernel:
         started: np.ndarray,
         heap_before: np.ndarray,
         young_at_start: Optional[np.ndarray],
-    ) -> None:
+    ) -> np.ndarray:
+        """Run one cycle on the lanes in ``m``; returns the occupancy
+        entering its heap effect (``heap_before`` for pause-only cycles,
+        which allocate nothing), from which reclaimed space is measured."""
         raise NotImplementedError
 
     # -- shared pieces --------------------------------------------------
@@ -740,11 +739,13 @@ class _Kernel:
         _set(s.young, survivors - promoted, mask)
         _set(s.live, s.live + promoted, mask)
 
-    def _full_effect(self, mask: np.ndarray, young_at_start: np.ndarray) -> None:
-        """Full-style heap accounting; allocation during a concurrent
-        cycle survives as floating garbage."""
+    def _full_effect(
+        self, mask: np.ndarray, young_at_start: np.ndarray, before: np.ndarray
+    ) -> None:
+        """Full-style heap accounting from occupancy ``before``;
+        allocation during a concurrent cycle survives as floating
+        garbage."""
         s = self.s
-        before = s.live + s.young
         floating = np.maximum(s.young - young_at_start, 0.0)
         new_live = np.minimum(s.live_fp, before)
         new_live = np.minimum(new_live, s.usable - floating)
@@ -813,6 +814,7 @@ class _StwKernel(_Kernel):
         else:
             self._pause(d_young, m)
             self._young_effect(m, survivors)
+        return heap_before
 
 
 class _G1Kernel(_Kernel):
@@ -905,6 +907,7 @@ class _G1Kernel(_Kernel):
             np.subtract(self.mixed_rem, 1.0, out=self.mixed_rem, where=mixed)
         if full_any:
             _set(self.mixed_rem, 0.0, full)
+        return heap_before
 
 
 class _ConcurrentKernel(_Kernel):
@@ -920,18 +923,24 @@ class _ConcurrentKernel(_Kernel):
         self.cwf = cls.CYCLE_WORK_FACTOR
         self.ts = cls.TRIGGER_SAFETY
         self.pacing_target = cls.PACING_TARGET
-        self.base_workers = proto.default_concurrent_workers()
-        self.max_workers = proto.max_concurrent_workers()
+        # The collector derives the team bounds, the pinned team and the
+        # integer speedup table once per run; read them, never re-derive.
+        self.base_workers = proto._team_base
+        self.max_workers = proto._team_max
+        # Python-pow speedups: parallel_speedup truncates its argument to
+        # int, so the table reproduces it exactly (np.power on arrays is
+        # the one op that can differ by 1 ulp).
+        self.speedup_lut = np.array(proto.team_speedups, dtype=np.float64)
+        self.max_team = len(proto.team_speedups) - 1
         self.inv_e = 1.0 / sim.eff_e
         self.cores_over_quarter = sim.cores / 0.25
         # When the clamp pins the team (Shenandoah on the default
-        # machine) the whole sizing pipeline is constant: precompute it
-        # and skip the power entirely — bit-exact by construction.
-        self.pinned = self.base_workers >= self.max_workers
+        # machine) the whole sizing pipeline is constant: skip the power
+        # entirely — bit-exact by construction.
+        self.pinned = proto._pinned_team is not None
         if self.pinned:
-            self.pinned_workers = np.full(sim.n, self.base_workers, dtype=np.float64)
-            iw = min(max(int(self.base_workers), 1), sim.hw)
-            self.pinned_denom = sim.conc_rate * float(sim.speedup_lut[iw])
+            self.pinned_workers = np.full(sim.n, proto._pinned_team, dtype=np.float64)
+            self.pinned_denom = proto.concurrent_phase(proto._pinned_team)[0]
 
     # -- per-collector hooks ---------------------------------------------
     def _cycle_work(self) -> np.ndarray:
@@ -965,8 +974,8 @@ class _ConcurrentKernel(_Kernel):
         if self.pinned:
             return work / self.pinned_denom
         iw = workers.astype(np.int64)
-        np.clip(iw, 1, s.hw, out=iw)
-        return work / (s.conc_rate * s.speedup_lut[iw])
+        np.clip(iw, 1, self.max_team, out=iw)
+        return work / (s.conc_rate * self.speedup_lut[iw])
 
     def begin_iteration(self, it_mask):
         # The trigger's headroom window only moves with live_fp.
@@ -1028,7 +1037,9 @@ class _ConcurrentKernel(_Kernel):
         self._pre_pauses(m)
         self._concurrent(m, free, work, workers, duration)
         self._post_pauses(m)
-        self._full_effect(m, young_at_start)
+        entering = s.live + s.young
+        self._full_effect(m, young_at_start, entering)
+        return entering
 
 
 class _ShenandoahKernel(_ConcurrentKernel):
@@ -1101,13 +1112,15 @@ class _GenZgcKernel(_ZgcKernel):
         self._pause(self.tiny, m)  # mark-start / young-mark-start
         self._concurrent(m, free, work, workers, duration)
         self._pause(self.tiny, m)  # mark-end / young-relocate-start
+        entering = s.live + s.young
         if old.any():
             self._pause(self.tiny, old)  # relocate-start (old cycles only)
-            self._full_effect(old, young_at_start)
+            self._full_effect(old, young_at_start, entering)
         self._young_effect(youngm)
         # notify_cycle_complete: advance or reset the young counter.
         self.yso += youngm
         _set(self.yso, 0.0, old)
+        return entering
 
 
 #: Kernel dispatch is by exact collector class: an unregistered subclass

@@ -17,9 +17,10 @@ through this interface, so the simulator loop itself is collector-agnostic.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -186,6 +187,9 @@ class Collector(ABC):
         # live_footprint_mb runs on every full-GC plan; its first term is
         # a spec constant (only extra_live_mb varies over a run).
         self._live_base_mb = self.spec.live_mb * self.footprint_factor()
+        #: Memo of :meth:`concurrent_phase` for the teams a collector
+        #: uses on nearly every cycle (filled by the concurrent models).
+        self._phases: Dict[float, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Footprint
@@ -218,13 +222,47 @@ class Collector(ABC):
         """Worker threads used in stop-the-world pauses."""
         return 1
 
-    def team_speedup(self, workers: int) -> float:
-        return self.machine.parallel_speedup(workers, self.tuning.efficiency_exponent)
-
     def stw_pause_for(self, work_mb: float, rate_mb_s: float, kind: str) -> PauseSegment:
         """Build a pause segment for ``work_mb`` of STW work."""
         duration = self.tuning.pause_floor_s + work_mb / (rate_mb_s * self._stw_speedup)
         return PauseSegment(duration_s=duration, workers=self._stw_workers_f, kind=kind)
+
+    @functools.cached_property
+    def team_speedups(self) -> Tuple[float, ...]:
+        """``Machine.parallel_speedup`` for every integer team size from 0
+        to the hardware-thread count, at which the speedup saturates.
+
+        A concurrent team of ``w`` workers works at
+        ``team_speedups[min(max(int(w), 1), len - 1)]`` times one
+        thread's rate.  Built on first use, so collectors that never run
+        a concurrent phase never pay for it.
+        """
+        e = self.tuning.efficiency_exponent
+        return tuple(
+            self.machine.parallel_speedup(i, e)
+            for i in range(self.machine.hardware_threads + 1)
+        )
+
+    def concurrent_phase(self, workers: float) -> Tuple[float, float]:
+        """Work rate (MB/s) of a concurrent team of ``workers`` threads,
+        and the dilation of mutator progress while it runs.
+
+        Both depend on the team size alone, so the teams a collector
+        uses on nearly every cycle are memoized once per run.
+        """
+        phase = self._phases.get(workers)
+        if phase is None:
+            speedups = self.team_speedups
+            team = int(workers)
+            if team < 1:
+                team = 1
+            elif team >= len(speedups):
+                team = len(speedups) - 1
+            phase = (
+                self.tuning.concurrent_rate_mb_s * speedups[team],
+                self.machine.mutator_dilation(self.spec.cpu_cores, workers),
+            )
+        return phase
 
     # ------------------------------------------------------------------
     # The two questions the simulator asks

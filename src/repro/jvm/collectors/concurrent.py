@@ -13,6 +13,8 @@ stall outright.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.jvm.collectors.base import Collector
 from repro.jvm.heap import Heap
 
@@ -30,6 +32,21 @@ class ConcurrentCollector(Collector):
     #: Fraction of the free space a cycle should leave unconsumed when the
     #: team is sized (headroom against prediction error).
     PACING_TARGET = 0.6
+
+    def __init__(self, spec, machine, tuning, rng):
+        super().__init__(spec, machine, tuning, rng)
+        # The team bounds are per-run constants: ask the hooks once.
+        self._team_base = self.default_concurrent_workers()
+        self._team_max = self.max_concurrent_workers()
+        #: Past the early exits in :meth:`_size_cycle`, a base at or
+        #: above the ceiling pins every team to the ceiling (Shenandoah on
+        #: the default machine), whatever the heap state; None otherwise.
+        self._pinned_team = (
+            float(self._team_max) if self._team_base >= self._team_max else None
+        )
+        # Nearly every cycle runs one of the two bound teams.
+        for team in (self._team_base, self._team_max):
+            self._phases[team] = self.concurrent_phase(team)
 
     def stw_workers(self) -> int:
         return min(self.machine.cores, 16)
@@ -54,31 +71,35 @@ class ConcurrentCollector(Collector):
             heap.live_mb + self.YOUNG_SCAN_FACTOR * heap.young_mb
         )
 
-    def concurrent_workers(self, heap: Heap) -> float:
-        """Adaptive team size: enough workers that the cycle finishes within
-        the allocation budget, within [default, core count]."""
-        base = self.default_concurrent_workers()
+    def _size_cycle(self, heap: Heap) -> Tuple[float, float]:
+        """The cycle's work (MB) and its team (see
+        :meth:`concurrent_workers`) at this heap state, each evaluated
+        once."""
+        work = self.cycle_work_mb(heap)
         alloc_rate = self.spec.alloc_rate_mb_s
-        if alloc_rate <= 0 or heap.free_mb <= 0:
-            return base
-        budget_s = self.PACING_TARGET * heap.free_mb / alloc_rate
+        free = heap.free_mb
+        if alloc_rate <= 0 or free <= 0:
+            return work, self._team_base
+        budget_s = self.PACING_TARGET * free / alloc_rate
         if budget_s <= 0:
-            return float(self.machine.cores)
-        needed_speedup = self.cycle_work_mb(heap) / (
-            self.tuning.concurrent_rate_mb_s * budget_s
-        )
+            return work, float(self.machine.cores)
+        if self._pinned_team is not None:
+            return work, self._pinned_team
+        needed_speedup = work / (self.tuning.concurrent_rate_mb_s * budget_s)
         if needed_speedup <= 1.0:
             needed = 1.0
         else:
             needed = needed_speedup ** (1.0 / self.tuning.efficiency_exponent)
-        return float(min(max(base, needed), self.max_concurrent_workers()))
+        return work, float(min(max(self._team_base, needed), self._team_max))
+
+    def concurrent_workers(self, heap: Heap) -> float:
+        """Adaptive team size: enough workers that the cycle finishes within
+        the allocation budget, within [default, max_concurrent_workers]."""
+        return self._size_cycle(heap)[1]
 
     def cycle_duration_s(self, heap: Heap) -> float:
-        workers = self.concurrent_workers(heap)
-        rate = self.tuning.concurrent_rate_mb_s * self.machine.parallel_speedup(
-            max(int(workers), 1), self.tuning.efficiency_exponent
-        )
-        return self.cycle_work_mb(heap) / rate
+        work, workers = self._size_cycle(heap)
+        return work / self.concurrent_phase(workers)[0]
 
     def trigger_free_mb(self, heap: Heap) -> float:
         expected_alloc = self.spec.alloc_rate_mb_s * self.cycle_duration_s(heap)

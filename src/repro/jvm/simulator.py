@@ -183,7 +183,6 @@ class _IterationSim:
         spec,
         collector: Collector,
         heap: Heap,
-        machine: Machine,
         rng: np.random.Generator,
         speed_factor: float,
         duration_scale: float,
@@ -192,7 +191,6 @@ class _IterationSim:
         self.spec = spec
         self.collector = collector
         self.heap = heap
-        self.machine = machine
         self.rng = rng
         self.telemetry = make_telemetry(fidelity)
         intrinsic = spec.execution_time_s * duration_scale * speed_factor
@@ -250,13 +248,10 @@ class _IterationSim:
         """Run the concurrent phase: GC works for ``duration`` wall seconds
         while the mutator runs diluted, paced, or stalled beside it."""
         workers = plan.concurrent_threads
-        rate = self.collector.tuning.concurrent_rate_mb_s * self.machine.parallel_speedup(
-            max(int(workers), 1), self.collector.tuning.efficiency_exponent
-        )
+        rate, contention = self.collector.concurrent_phase(workers)
         duration = plan.concurrent_work_mb / rate
         if duration <= 0:
             return
-        contention = self.machine.mutator_dilation(self.spec.cpu_cores, workers)
         progress_rate = 1.0 / contention
         if plan.pace_alloc_to_mb_s is not None and self.state.alloc_rate_mb_s > 0:
             paced = plan.pace_alloc_to_mb_s / self.state.alloc_rate_mb_s
@@ -533,7 +528,7 @@ def simulate_iteration(
     spec,
     collector: Collector,
     heap: Heap,
-    machine: Machine = DEFAULT_MACHINE,
+    machine: Optional[Machine] = None,
     rng: Optional[np.random.Generator] = None,
     speed_factor: float = 1.0,
     duration_scale: float = 1.0,
@@ -541,14 +536,22 @@ def simulate_iteration(
 ) -> IterationResult:
     """Simulate one benchmark iteration in an existing heap.
 
+    The iteration runs on the collector's machine: the collector sizes
+    its concurrent teams for that host and supplies their speed and
+    interference, so ``machine`` (default ``collector.machine``) must
+    equal it.
+
     ``fidelity`` selects the telemetry tier: ``"full"`` (default) records
     per-event detail; ``"aggregate"`` keeps only headline scalars —
     bit-identical on every scalar, substantially faster.
     """
+    if machine is not None and machine != collector.machine:
+        raise ValueError(
+            f"{collector.NAME} was made for {collector.machine!r}, "
+            f"not {machine!r}; an iteration runs on its collector's machine"
+        )
     rng = rng if rng is not None else generator_for(spec.name, collector.NAME)
-    sim = _IterationSim(
-        spec, collector, heap, machine, rng, speed_factor, duration_scale, fidelity
-    )
+    sim = _IterationSim(spec, collector, heap, rng, speed_factor, duration_scale, fidelity)
     return sim.run()
 
 

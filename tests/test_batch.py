@@ -183,6 +183,29 @@ class TestRowEquivalence:
                 outcome, timed, oom, f"Shenandoah/{cell.spec.name}"
             )
 
+    @pytest.mark.parametrize("workload", ["fop", "xalan"])
+    def test_floating_garbage_counts_as_reclaimed(self, workload):
+        """Two min-heap probes just above Shenandoah's frontier: a
+        concurrent cycle's reclaimed space is measured from the
+        occupancy entering its heap effect, floating garbage included,
+        so the batch completes where the scalar path completes instead
+        of tripping the no-progress exit."""
+        spec = registry.workload(workload)
+        heap_mb = 12.131640625
+        run = simulate_run(
+            spec, "Shenandoah", heap_mb, iterations=1, duration_scale=0.02,
+            fidelity="aggregate",
+        )
+        batch = simulate_batch(
+            BatchSpec(
+                collector="Shenandoah",
+                cells=(BatchCell(spec=spec, heap_mb=heap_mb),),
+                iterations=1,
+                duration_scale=0.02,
+            )
+        )
+        assert_outcome_matches(batch[0], run.timed, None, f"Shenandoah/{workload}")
+
     def test_empty_batch(self):
         assert simulate_batch(
             BatchSpec(collector="G1", cells=())

@@ -178,3 +178,30 @@ class TestBehaviouralSignatures:
         times = [t for t, _ in series]
         assert times == sorted(times)
         assert all(mb >= 0 for _, mb in series)
+
+
+class TestSimulateIteration:
+    def test_runs_on_the_collectors_machine(self):
+        """One iteration replays simulate_run's first, on the machine the
+        collector was made for; any other machine is rejected."""
+        from repro.core.rng import generator_for
+        from repro.jvm.cpu import Machine
+        from repro.jvm.heap import Heap
+        from repro.jvm.simulator import make_collector, simulate_iteration, warmup_factor
+
+        spec = registry.workload("lusearch")
+        heap_mb = spec.heap_mb_for(2.0)
+        machine = Machine(cores=24, smt=1)
+        rng = generator_for(spec.name, "ZGC", f"{heap_mb:.3f}", 0)
+        collector = make_collector("ZGC", spec, machine, rng=rng)
+        heap = Heap(capacity_mb=heap_mb, reserve_fraction=collector.RESERVE_FRACTION)
+        heap.live_mb = collector.live_footprint_mb()
+        with pytest.raises(ValueError, match="machine"):
+            simulate_iteration(spec, collector, heap, Machine(), rng)
+        first = simulate_iteration(
+            spec, collector, heap, None, rng,
+            speed_factor=warmup_factor(1, spec), duration_scale=SCALE,
+        )
+        _, result = run(collector="ZGC", iterations=1, machine=machine)
+        assert first.wall_s == result.timed.wall_s
+        assert first.gc_count == result.timed.gc_count
