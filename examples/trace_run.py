@@ -5,7 +5,8 @@ capture, GC logs, perf counters — as a JFR-style flight recorder.  This
 example records at both granularities:
 
 1. an engine-level sweep (one Perfetto track per cell, GC pauses nested
-   inside, cache hit/miss counters) via ``trace_sweep``, run twice to
+   inside, cache hit/miss counters): an LBO campaign run through
+   ``run_campaign`` on an engine that carries a ``Recorder``, twice, to
    show cache hits appearing as zero-work spans;
 2. a single ``simulate_run`` invocation at full iteration granularity
    (iteration spans, JIT warmup overhead, every pause/stall).
@@ -16,12 +17,13 @@ Open the written ``.json`` files at https://ui.perfetto.dev.
 import os
 
 from repro import (
+    ExecutionEngine,
     MetricsRegistry,
     Recorder,
     RunConfig,
     registry,
+    run_campaign,
     simulate_run,
-    trace_sweep,
     write_chrome_trace,
 )
 
@@ -31,23 +33,24 @@ OUT_DIR = os.path.dirname(__file__)
 
 
 def traced(label):
-    from repro import ExecutionEngine
-
+    # A recording engine runs the campaign at full fidelity, so the trace
+    # can nest each cell's GC pauses inside its span.
     engine = ExecutionEngine(cache_dir=CACHE_DIR, recorder=Recorder())
-    session = trace_sweep(
+    campaign = run_campaign(
+        "lbo",
         registry.workload("lusearch"),
         collectors=("G1", "Shenandoah", "ZGC"),
         multiples=(1.5, 2.0, 3.0),
         config=CONFIG,
         engine=engine,
     )
-    stats = session.stats
+    stats = campaign.stats
     print(
         f"{label}: {stats.cells} cells — {stats.executed} simulated, "
         f"{stats.hits} cache hits ({stats.hit_rate:.0%} hit rate, "
         f"{stats.negative_hits} negative)"
     )
-    return session
+    return engine.recorder
 
 
 def main():
@@ -55,13 +58,13 @@ def main():
     cold = traced("cold sweep")
     warm = traced("warm sweep")
 
-    cold_path = write_chrome_trace(cold.recorder.events(), os.path.join(OUT_DIR, "trace_cold.json"))
-    warm_path = write_chrome_trace(warm.recorder.events(), os.path.join(OUT_DIR, "trace_warm.json"))
+    cold_path = write_chrome_trace(cold.events(), os.path.join(OUT_DIR, "trace_cold.json"))
+    warm_path = write_chrome_trace(warm.events(), os.path.join(OUT_DIR, "trace_warm.json"))
     print(f"\nwrote {cold_path} and {warm_path} (open at https://ui.perfetto.dev)")
 
     # Aggregate view of the cold recording: pause percentiles, hit rate.
     metrics = MetricsRegistry()
-    metrics.ingest(cold.recorder.events())
+    metrics.ingest(cold.events())
     print("\nmetrics from the cold sweep:")
     print(metrics.render())
 

@@ -65,8 +65,6 @@ from repro.harness.engine import (
 from repro.harness.experiments import (
     Campaign,
     ChaosDrill,
-    SupervisedSweep,
-    TracedSweep,
     chaos_drill,
     heap_timeseries,
     latency_experiment,
@@ -74,8 +72,6 @@ from repro.harness.experiments import (
     minheap_experiment,
     run_campaign,
     suite_lbo,
-    supervised_sweep,
-    trace_sweep,
 )
 from repro.resilience import (
     CellExecutionError,
@@ -248,10 +244,8 @@ __all__ = [
     "ServiceError",
     "ShardedResultCache",
     "SuiteLbo",
-    "SupervisedSweep",
     "Supervisor",
     "SweepService",
-    "TracedSweep",
     "UnknownCollectorError",
     "__version__",
     "all_workloads",
@@ -314,9 +308,7 @@ __all__ = [
     "spearman_rank_correlation",
     "suite_lbo",
     "suite_pca",
-    "supervised_sweep",
     "synthetic_starts",
-    "trace_sweep",
     "validate_chrome_trace",
     "verify_cells",
     "workload",

@@ -13,6 +13,7 @@ result`` prints byte-identical output to the matching one-shot command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,26 +26,14 @@ from repro.core.nominal import format_report
 from repro.core.pca import determinant_metrics, suite_pca
 from repro.harness.config import HarnessConfig, engine_from_config, harness_config
 from repro.harness.engine import ExecutionEngine
-from repro.harness.experiments import (
-    chaos_drill,
-    lbo_experiment,
-    run_campaign,
-    supervised_sweep,
-    trace_sweep,
-)
+from repro.harness.experiments import Campaign, chaos_drill, run_campaign
 from repro.harness.perfdiff import (
     DEFAULT_THRESHOLD,
     diff_artifacts,
     load_artifact,
     resolve_artifacts,
 )
-from repro.harness.plans import (
-    DEFAULT_MULTIPLES,
-    PLAN_KINDS,
-    plan_adaptive,
-    plan_lbo,
-    run_adaptive,
-)
+from repro.harness.plans import PLAN_KINDS, plan_adaptive, plan_lbo, run_adaptive
 from repro.planner import GRADES, render_ranking
 from repro.resilience import (
     CostModel,
@@ -63,12 +52,7 @@ from repro.observability import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.harness.report import (
-    format_latency_comparison,
-    format_lbo_curves,
-    format_pca_projection,
-    format_table,
-)
+from repro.harness.report import format_pca_projection, format_table
 from repro.harness.runner import RunConfig
 from repro.jvm.collectors import COLLECTOR_NAMES, UnknownCollectorError, resolve_collector
 from repro.service import (
@@ -307,45 +291,68 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lbo(args: argparse.Namespace) -> int:
-    spec = registry.workload(args.benchmark)
-    engine = _engine(args)
-    config = _config(args)
-    if not engine.supervised:
-        curves = lbo_experiment(spec, config=config, engine=engine)
-        print(format_lbo_curves(curves, "wall"))
-        print()
-        print(format_lbo_curves(curves, "task"))
-        return 0
-    # Supervised sweeps run in partial mode under signal handlers: the
-    # first Ctrl-C drains (journal and cache stay consistent, a resume
-    # hint is printed), refused cells become typed holes, and the exit
-    # is clean either way — a budget-truncated sweep is a result, not an
-    # error.
-    with engine.supervisor:
-        sweep = supervised_sweep(
+def _campaign(
+    args: argparse.Namespace,
+    kind: str,
+    spec,
+    collectors=COLLECTOR_NAMES,
+    multiples=None,
+    engine: Optional[ExecutionEngine] = None,
+    strict: bool = True,
+    **options,
+) -> Campaign:
+    """Run a campaign verb's campaign: the one run path behind ``chopin
+    lbo``, ``latency``, ``minheap`` and ``trace``.
+
+    A supervised engine (``--budget``/``--breaker-threshold``) runs under
+    its supervisor's signal handlers, where the first Ctrl-C drains and
+    leaves journal and cache consistent, and never strictly: a refused
+    or failed cell is a typed hole, because a budget-truncated campaign
+    is a result, not an error.  An unsupervised run keeps the verb's
+    ``strict`` contract and never enters the engine's inert default
+    supervisor, whose SIGINT handler would turn Ctrl-C into a drain that
+    nothing honours.
+    """
+    engine = engine if engine is not None else _engine(args)
+    supervisor = engine.supervisor if engine.supervised else None
+    with supervisor if supervisor is not None else contextlib.nullcontext():
+        return run_campaign(
+            kind,
             spec,
-            multiples=DEFAULT_MULTIPLES,
-            config=config,
+            collectors=collectors,
+            multiples=multiples,
+            config=_config(args),
             engine=engine,
-            supervisor=engine.supervisor,
+            supervisor=supervisor,
+            strict=strict and supervisor is None,
+            **options,
         )
-    if sweep.result is not None:
-        curves = sweep.result.per_benchmark[0]
-        print(format_lbo_curves(curves, "wall"))
-        print()
-        print(format_lbo_curves(curves, "task"))
-    else:
-        print("no complete (collector, heap) group — every cell was refused or failed")
-    if sweep.holes:
-        stats = sweep.stats
+
+
+def _report_holes(campaign: Campaign) -> None:
+    """Summarise a campaign's incomplete cells on stderr."""
+    if campaign.holes:
+        stats = campaign.stats
         print(
-            f"supervision: {len(sweep.holes)}/{sweep.cells} cells incomplete "
+            f"supervision: {len(campaign.holes)}/{campaign.cells} cells incomplete "
             f"({stats.budget_skipped} over budget, {stats.breaker_skipped} "
             f"breaker-open, {stats.drained} drained, {stats.gave_up} gave up)",
             file=sys.stderr,
         )
+
+
+def _print_campaign(campaign: Campaign) -> int:
+    """Print a campaign's tables, or why it has none, then its holes."""
+    if campaign.empty:
+        print(campaign.empty_reason)
+    else:
+        sys.stdout.write(campaign.rendered())
+    _report_holes(campaign)
     return 0
+
+
+def cmd_lbo(args: argparse.Namespace) -> int:
+    return _print_campaign(_campaign(args, "lbo", registry.workload(args.benchmark)))
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -467,28 +474,14 @@ def cmd_latency(args: argparse.Namespace) -> int:
     if not spec.latency_sensitive:
         print(f"{spec.name} is not a latency-sensitive workload", file=sys.stderr)
         return 2
-    config = _config(args)
-    if config.fidelity == "aggregate":
+    if _config(args).fidelity == "aggregate":
         print(
             "latency analysis replays requests over per-event timelines; "
             "use --fidelity full (or auto)",
             file=sys.stderr,
         )
         return 2
-    engine = _engine(args)
-    # The shared campaign path: same plan, engine, and rendering the
-    # sweep service uses, so `chopin result` is byte-identical to this.
-    campaign = run_campaign(
-        "latency",
-        spec,
-        collectors=COLLECTOR_NAMES,
-        multiples=(args.heap,),
-        config=config,
-        engine=engine,
-        strict=True,
-    )
-    sys.stdout.write(campaign.rendered())
-    return 0
+    return _print_campaign(_campaign(args, "latency", spec, multiples=(args.heap,)))
 
 
 def cmd_minheap(args: argparse.Namespace) -> int:
@@ -500,29 +493,11 @@ def cmd_minheap(args: argparse.Namespace) -> int:
         except UnknownCollectorError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    engine = _engine(args)
-    campaign = run_campaign(
-        "minheap",
-        spec,
-        collectors=collectors,
-        config=_config(args),
-        engine=engine,
-        supervisor=engine.supervisor if engine.supervised else None,
-        tolerance=args.tolerance,
+    # Infeasible pairs are dropped from the table, not raised.
+    campaign = _campaign(
+        args, "minheap", spec, collectors, strict=False, tolerance=args.tolerance
     )
-    if campaign.empty:
-        print("no feasible (benchmark, collector) pair — every search failed or was refused")
-    else:
-        sys.stdout.write(campaign.rendered())
-    if campaign.holes:
-        stats = campaign.stats
-        print(
-            f"supervision: {len(campaign.holes)}/{campaign.cells} cells incomplete "
-            f"({stats.budget_skipped} over budget, {stats.breaker_skipped} "
-            f"breaker-open, {stats.drained} drained, {stats.gave_up} gave up)",
-            file=sys.stderr,
-        )
-    return 0
+    return _print_campaign(campaign)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -595,8 +570,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     multiples = tuple(args.multiple) if args.multiple else (2.0, 3.0)
     engine = _engine(args)
     engine.recorder = Recorder(capacity=args.ring_size)
-    session = trace_sweep(spec, collectors, multiples, _config(args), engine=engine)
-    events = session.recorder.events()
+    campaign = _campaign(args, "lbo", spec, collectors, multiples, engine=engine)
+    events = engine.recorder.events()
     problems = validate_chrome_trace(chrome_trace(events))
     if problems:
         for problem in problems:
@@ -606,13 +581,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(f"wrote {path} ({len(events)} events; open it at https://ui.perfetto.dev)")
     if args.jsonl_out:
         print(f"wrote {write_jsonl(events, args.jsonl_out)}")
-    if session.recorder.dropped:
+    if engine.recorder.dropped:
         print(
-            f"note: ring buffer overflowed, {session.recorder.dropped} oldest "
+            f"note: ring buffer overflowed, {engine.recorder.dropped} oldest "
             f"events dropped (raise --ring-size to keep them)",
             file=sys.stderr,
         )
-    stats = session.stats
+    stats = campaign.stats
     print(
         f"cells: {stats.cells} ({stats.executed} simulated, {stats.hits} cache hits, "
         f"{stats.negative_hits} negative, {stats.hit_rate:.0%} hit rate)"
@@ -622,6 +597,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         registry_.ingest(events)
         print()
         print(registry_.render())
+    _report_holes(campaign)
     return 0
 
 

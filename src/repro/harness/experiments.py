@@ -21,14 +21,12 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.engine import Cell, EngineStats, ExecutionEngine, Hole
-from repro.observability import Recorder
 from repro.resilience import FaultInjector, FaultSpec, RetryPolicy, Supervisor
 from repro.harness.plans import (
     DEFAULT_MULTIPLES,
     PLAN_KINDS,
     LatencyRun,
     SuiteLbo,
-    _assemble_lbo,
     _scaled_for_replay,
     plan_latency,
     plan_lbo,
@@ -55,8 +53,6 @@ __all__ = [
     "DEFAULT_MULTIPLES",
     "LatencyRun",
     "SuiteLbo",
-    "SupervisedSweep",
-    "TracedSweep",
     "chaos_drill",
     "heap_timeseries",
     "latency_experiment",
@@ -64,8 +60,6 @@ __all__ = [
     "minheap_experiment",
     "run_campaign",
     "suite_lbo",
-    "supervised_sweep",
-    "trace_sweep",
 ]
 
 
@@ -146,8 +140,8 @@ class Campaign:
     """One campaign's outcome, whatever its kind — the common shape the
     service worker and the one-shot CLI both consume.
 
-    ``result`` is kind-shaped: a :class:`SuiteLbo` (or ``None`` when
-    every group was refused) for ``kind="lbo"``, a list of
+    ``result`` is kind-shaped: a :class:`SuiteLbo` (or ``None`` when a
+    benchmark kept no complete group) for ``kind="lbo"``, a list of
     :class:`LatencyRun` for ``kind="latency"``, a list of
     :class:`~repro.core.minheap.MinHeapResult` for ``kind="minheap"``.
     ``cells`` counts the cells the campaign touched (for dynamic
@@ -167,6 +161,15 @@ class Campaign:
     def empty(self) -> bool:
         """True when the campaign produced no usable result at all."""
         return self.result is None if self.kind == "lbo" else not self.result
+
+    @property
+    def empty_reason(self) -> str:
+        """What an :attr:`empty` campaign reports instead of its tables:
+        the line the one-shot CLI prints and the service records as the
+        failed job's error."""
+        if self.kind == "minheap":
+            return "no feasible (benchmark, collector) pair — every search failed or was refused"
+        return "no complete (collector, heap) group — every cell was refused or failed"
 
     def rendered(self) -> str:
         """The campaign's result tables, byte-identical to the one-shot
@@ -217,50 +220,36 @@ def run_campaign(
 ) -> Campaign:
     """Run one campaign of any kind through the shared execution stack.
 
-    The single dispatch point behind ``chopin lbo`` / ``latency`` /
-    ``minheap`` and the sweep service's worker: every kind compiles to
-    an :class:`~repro.harness.plans.ExperimentPlan`, executes through
-    the same engine (cache, batch kernel, supervisor, recorder), and
-    comes back as a :class:`Campaign` whose :meth:`~Campaign.rendered`
-    text is byte-identical between the one-shot and served paths.
+    The single campaign path behind ``chopin lbo`` / ``latency`` /
+    ``minheap`` / ``trace`` and the sweep service's worker: every kind
+    compiles to an :class:`~repro.harness.plans.ExperimentPlan`, runs
+    through one :func:`~repro.harness.plans.run_plan` call, and comes
+    back as a :class:`Campaign` whose :meth:`~Campaign.rendered` text is
+    byte-identical between the one-shot and served paths.  Caching,
+    batching, retries, chaos and flight recording are properties of
+    ``engine``, so every kind gets them; ``supervisor`` is attached to
+    the engine only when one is passed.
 
     ``multiples=None`` picks the kind's default grid — the LBO grid,
     ``(2.0,)`` for latency, and the dynamic probe schedule for min-heap
     (which ignores ``multiples`` entirely).  Campaigns always run in
     partial mode: refused or failed cells surface as typed holes, and
-    ``strict`` upgrades the first hole (or OOM group) to an exception
-    instead.
+    ``strict`` raises on the first such cell (or OOM group) instead.
     """
-    if kind not in PLAN_KINDS:
-        raise ValueError(f"unknown campaign kind {kind!r}; choose from {PLAN_KINDS}")
-    engine = engine if engine is not None else ExecutionEngine()
     if kind == "lbo":
-        sweep = supervised_sweep(
-            specs,
-            collectors=collectors,
-            multiples=tuple(multiples) if multiples else DEFAULT_MULTIPLES,
-            config=config,
-            engine=engine,
-            supervisor=supervisor,
-        )
-        return Campaign(
-            kind="lbo",
-            cells=sweep.cells,
-            result=sweep.result,
-            holes=sweep.holes,
-            stats=sweep.stats,
-            drained=sweep.drained,
-        )
-    if kind == "latency":
+        plan = plan_lbo(specs, collectors, multiples or DEFAULT_MULTIPLES, config)
+    elif kind == "latency":
         plan = plan_latency(
             specs,
             collectors,
-            tuple(multiples) if multiples else (2.0,),
+            multiples or (2.0,),
             config,
             replay_invocation=replay_invocation,
         )
-    else:
+    elif kind == "minheap":
         plan = plan_minheap(specs, collectors, config, tolerance=tolerance)
+    else:
+        raise ValueError(f"unknown campaign kind {kind!r}; choose from {PLAN_KINDS}")
     result, holes, stats = run_plan(
         plan,
         engine,
@@ -279,56 +268,6 @@ def run_campaign(
         stats=stats,
         drained=supervisor.draining if supervisor is not None else False,
     )
-
-
-@dataclass(frozen=True)
-class TracedSweep:
-    """What :func:`trace_sweep` hands back: results plus observability.
-
-    ``result`` is the assembled :class:`SuiteLbo`; ``stats`` is the
-    engine-stats delta for this sweep (hits, misses, negative OOM hits,
-    cells simulated); ``recorder`` holds the flight recording ready for
-    :func:`repro.observability.write_chrome_trace` or
-    :meth:`repro.observability.MetricsRegistry.ingest`.
-    """
-
-    result: SuiteLbo
-    stats: EngineStats
-    recorder: Recorder
-
-
-def trace_sweep(
-    specs: Union[WorkloadSpec, Sequence[WorkloadSpec]],
-    collectors: Sequence[str] = COLLECTOR_NAMES,
-    multiples: Sequence[float] = (2.0, 3.0),
-    config: RunConfig = DEFAULT_CONFIG,
-    engine: Optional[ExecutionEngine] = None,
-    recorder: Optional[Recorder] = None,
-) -> TracedSweep:
-    """Run an LBO-style sweep under the flight recorder (``chopin trace``).
-
-    Wires a :class:`~repro.observability.Recorder` into the engine (the
-    caller's ``engine`` is reused with its own recorder if it already has
-    one enabled), runs the plan, and returns results, per-sweep engine
-    stats, and the recording together.  Because recording is
-    observational, ``result`` is bit-identical to the same sweep run
-    without it.
-    """
-    if engine is None:
-        recorder = recorder if recorder is not None else Recorder()
-        engine = ExecutionEngine(recorder=recorder)
-    elif not engine.recorder.enabled:
-        engine.recorder = recorder if recorder is not None else Recorder()
-    # The trace nests GC pauses/spans/stalls inside each cell span, which
-    # only full-fidelity results carry — recording auto-upgrades the
-    # config to the full tier (aggregate included, mirroring
-    # ``simulate_run``'s recorder upgrade).
-    if config.fidelity != FIDELITY_FULL:
-        config = replace(config, fidelity=FIDELITY_FULL)
-    result, stats = run_plan(
-        plan_lbo(specs, collectors, multiples, config), engine, return_stats=True
-    )
-    return TracedSweep(result=result, stats=stats, recorder=engine.recorder)
 
 
 @dataclass(frozen=True)
@@ -411,73 +350,6 @@ def chaos_drill(
         holes=holes,
         divergent=divergent,
         stats=chaos_engine.stats,
-    )
-
-
-@dataclass(frozen=True)
-class SupervisedSweep:
-    """Outcome of :func:`supervised_sweep`: what ran, what was refused.
-
-    ``result`` is the assembled :class:`SuiteLbo`, or ``None`` when so
-    much was refused that no benchmark had a single complete group;
-    ``holes`` lists every incomplete cell with its typed ``reason``
-    (``budget``/``breaker``/``drained`` for supervised refusals,
-    ``gave_up``/``timeout`` for cells that ran and failed); ``stats`` is
-    the engine delta for this sweep; ``drained`` reports whether a
-    graceful shutdown was in progress when the sweep ended.
-    """
-
-    cells: int
-    result: Optional[SuiteLbo]
-    holes: List[Hole]
-    stats: EngineStats
-    drained: bool = False
-
-    @property
-    def complete(self) -> bool:
-        """True when every cell produced a result."""
-        return not self.holes
-
-
-def supervised_sweep(
-    specs: Union[WorkloadSpec, Sequence[WorkloadSpec]],
-    collectors: Sequence[str] = COLLECTOR_NAMES,
-    multiples: Sequence[float] = (2.0, 3.0),
-    config: RunConfig = DEFAULT_CONFIG,
-    engine: Optional[ExecutionEngine] = None,
-    supervisor: Optional[Supervisor] = None,
-    budget_s: Optional[float] = None,
-    breaker_threshold: Optional[int] = None,
-) -> SupervisedSweep:
-    """Run an LBO-style sweep under a :class:`~repro.resilience.Supervisor`
-    (``chopin lbo --budget/--breaker-threshold``).
-
-    The sweep always runs in partial mode — a supervised refusal is a
-    typed hole to report, not an error to die on — and assembly
-    tolerates total refusal (a budget of a few milliseconds holes every
-    cell; ``result`` is then ``None`` instead of an
-    ``OutOfMemoryError`` escaping from an empty LBO table).  Cells that
-    do run are bit-identical to an unsupervised sweep; refused cells are
-    absent from the cache and the journal, so a follow-up run with the
-    same ``--cache-dir``/``--resume`` executes exactly the missing cells.
-    """
-    if supervisor is None:
-        supervisor = Supervisor(budget_s=budget_s, breaker_threshold=breaker_threshold)
-    plan = plan_lbo(specs, collectors, multiples, config)
-    engine = engine if engine is not None else ExecutionEngine()
-    engine.attach_supervisor(supervisor)
-    before = replace(engine.stats)
-    batch = engine.run_cells(plan.cells(), partial=True)
-    try:
-        result: Optional[SuiteLbo] = _assemble_lbo(plan, batch.results)
-    except OutOfMemoryError:
-        result = None
-    return SupervisedSweep(
-        cells=len(batch.results),
-        result=result,
-        holes=list(batch.holes),
-        stats=engine.stats.minus(before),
-        drained=supervisor.draining,
     )
 
 

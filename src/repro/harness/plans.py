@@ -31,10 +31,9 @@ from repro.harness.engine import (
     EngineStats,
     ExecutionEngine,
     Hole,
-    PartialBatch,
 )
 from repro.harness.runner import DEFAULT_CONFIG, RunConfig
-from repro.resilience import CellExecutionError, Supervisor
+from repro.resilience import Supervisor
 from repro.jvm.collectors import COLLECTOR_NAMES, resolve_collector
 from repro.jvm.heap import OutOfMemoryError
 from repro.jvm.telemetry import FIDELITY_AGGREGATE, FIDELITY_FULL
@@ -314,7 +313,11 @@ def run_plan(
     The return value grows a trailing list of
     :class:`~repro.harness.engine.Hole` — ``(assembled, holes)``, or
     ``(assembled, holes, stats)`` with ``return_stats`` — so callers see
-    what is missing.  ``strict`` still raises on a latency hole.
+    what is missing.  An LBO plan in which some benchmark kept no
+    complete group then assembles to ``None`` instead of raising
+    :class:`OutOfMemoryError`.  ``strict`` overrides ``partial``: the
+    first failed or refused cell raises at once, as does an LBO plan
+    with nothing to assemble, and the holes list stays empty.
 
     An engine with an enabled flight recorder upgrades the plan to full
     fidelity (the trace nests per-event GC slices, which aggregate
@@ -335,27 +338,22 @@ def run_plan(
     holes: List[Hole] = []
     if plan.kind == "minheap":
         assembled, holes = _run_minheap(plan, engine, strict=strict, partial=partial)
-        out = [assembled]
-        if partial:
-            out.append(holes)
-        if return_stats:
-            out.append(engine.stats.minus(before))
-        return out[0] if len(out) == 1 else tuple(out)
-    if partial:
-        batch = engine.run_cells(plan.cells(), partial=True)
-        results: Sequence[Optional[CellResult]] = batch.results
-        holes = batch.holes
-        if strict and holes:
-            raise CellExecutionError(
-                holes[0].key, holes[0].attempts, holes[0].error
-            )
     else:
-        results = engine.run_cells(plan.cells())
-    assembled = (
-        _assemble_lbo(plan, results)
-        if plan.kind == "lbo"
-        else _assemble_latency(plan, results, strict)
-    )
+        if partial and not strict:
+            batch = engine.run_cells(plan.cells(), partial=True)
+            results: Sequence[Optional[CellResult]] = batch.results
+            holes = batch.holes
+        else:
+            results = engine.run_cells(plan.cells())
+        if plan.kind == "latency":
+            assembled = _assemble_latency(plan, results, strict)
+        else:
+            try:
+                assembled = _assemble_lbo(plan, results)
+            except OutOfMemoryError:
+                if strict or not partial:
+                    raise
+                assembled = None
     out = [assembled]
     if partial:
         out.append(holes)
@@ -490,10 +488,10 @@ def _run_minheap(
     a warm cache answers a repeat search with zero new simulations.
 
     Pairs whose upper bound fails are dropped (``strict`` re-raises the
-    search's :class:`OutOfMemoryError` instead); in ``partial`` mode a
-    holed probe aborts that pair's search — a search cannot continue past
-    an unanswered probe — and the pair is dropped with its holes
-    reported.
+    search's :class:`OutOfMemoryError` instead); in ``partial`` mode,
+    unless ``strict``, a holed probe aborts that pair's search — a
+    search cannot continue past an unanswered probe — and the pair is
+    dropped with its holes reported.
     """
     results: List[MinHeapResult] = []
     holes: List[Hole] = []
@@ -531,16 +529,10 @@ def _run_minheap(
                     )
                     for heap_mb in heap_mbs
                 ]
-                if partial:
+                if partial and not strict:
                     batch = engine.run_cells(cells, partial=True)
                     if batch.holes:
                         holes.extend(batch.holes)
-                        if strict:
-                            raise CellExecutionError(
-                                batch.holes[0].key,
-                                batch.holes[0].attempts,
-                                batch.holes[0].error,
-                            )
                         break  # the search cannot continue past a hole
                     fits = [r.oom is None for r in batch.results]
                 else:
@@ -767,14 +759,11 @@ def run_adaptive(
     plus one :class:`~repro.observability.CellGraded` per point whose
     grade changed, all on round-counted timestamps.
     """
-    from repro.observability import CellGraded, PlannerRound
     from repro.planner import (
         Planner,
         baseline_for,
         crossover_points,
         family_components,
-        grade_cell,
-        predict_cost,
         score_collector,
     )
     from repro.core.stats import geometric_mean
@@ -800,77 +789,9 @@ def run_adaptive(
         )
         for spec in grid.specs
     }
-    budget_left = plan.cell_budget
-    schedule: List[str] = []
-    rounds: List[AdaptiveRound] = []
-    grades: Dict[Tuple[str, str, float], "CellGrade"] = {}
-    for round_index in range(plan.max_rounds):
-        if budget_left <= 0:
-            break
-        proposals: List["Proposal"] = []
-        for spec in grid.specs:
-            proposals.extend(planners[spec.name].propose())
-        if not proposals:
-            break
-        take = sorted(proposals, key=lambda p: p.sort_key)[:budget_left]
-        cells, ordered = _adaptive_rows(take, plan)
-        results = engine.run_cells(cells)
-        for proposal, result in zip(ordered, results):
-            planners[proposal.benchmark].observe(
-                proposal.collector, proposal.multiple, result
-            )
-            schedule.append(result.key)
-        budget_left -= len(ordered)
-        reason_counts: Dict[str, int] = {}
-        for proposal in ordered:
-            reason_counts[proposal.reason] = reason_counts.get(proposal.reason, 0) + 1
-        estimated = sum(
-            predict_cost(cost_model, p.benchmark, p.collector) for p in ordered
-        )
-        round_record = AdaptiveRound(
-            index=round_index,
-            proposed=len(proposals),
-            executed=len(ordered),
-            budget_left=budget_left,
-            reasons=tuple(sorted(reason_counts.items())),
-            estimated_cost_s=estimated,
-        )
-        rounds.append(round_record)
-        touched = sorted({(p.benchmark, p.collector, p.multiple) for p in ordered})
-        for benchmark, collector, multiple in touched:
-            planner = planners[benchmark]
-            grade = grade_cell(
-                benchmark,
-                collector,
-                multiple,
-                planner.wall_samples(collector, multiple),
-                oom=multiple in planner.ooms.get(collector, ()),
-            )
-            grades[(benchmark, collector, multiple)] = grade
-            if engine.recorder.enabled:
-                engine.recorder.emit(
-                    CellGraded(
-                        ts=float(round_index),
-                        benchmark=benchmark,
-                        collector=collector,
-                        heap_multiple=multiple,
-                        score=grade.score,
-                        grade=grade.grade,
-                        cv=grade.cv,
-                        samples=grade.samples,
-                    )
-                )
-        if engine.recorder.enabled:
-            engine.recorder.emit(
-                PlannerRound(
-                    ts=float(round_index),
-                    index=round_index,
-                    proposed=round_record.proposed,
-                    executed=round_record.executed,
-                    budget_left=round_record.budget_left,
-                    reasons=round_record.reason_summary(),
-                )
-            )
+    rounds, schedule, grades = _campaign_rounds(
+        plan, engine, cost_model, planners, _observe, _wall_samples
+    )
     # Refit once more and assemble crossovers plus the gmean ranking.
     crossovers: Dict[Tuple[str, str, str], Tuple[float, ...]] = {}
     per_spec_components: Dict[str, Dict[str, Dict[str, float]]] = {}
@@ -926,16 +847,25 @@ def run_adaptive(
     )
 
 
-def _campaign_rounds(plan, engine, cost_model, planners, observe, samples_for):
-    """The shared propose → execute → observe loop for non-LBO campaigns.
+def _observe(planner, proposal, result) -> None:
+    """Fold one executed cell into its LBO or min-heap planner."""
+    planner.observe(proposal.collector, proposal.multiple, result)
 
-    Mirrors :func:`run_adaptive`'s LBO loop operation for operation —
-    budget admission by ``sort_key``, row grouping, schedule capture,
-    reason counts, cost annotation, CV grading of touched points, and
-    recorder emits — with the campaign-specific pieces injected:
-    ``observe(planner, proposal, result)`` folds a cell into its
-    planner, ``samples_for(planner, collector, multiple)`` yields the
-    samples a grade is computed over.
+
+def _wall_samples(planner, collector: str, multiple: float):
+    """The wall-time samples an LBO or min-heap point is graded over."""
+    return planner.wall_samples(collector, multiple)
+
+
+def _campaign_rounds(plan, engine, cost_model, planners, observe, samples_for):
+    """The propose → execute → observe loop every adaptive campaign runs.
+
+    Each round does budget admission by ``sort_key``, row grouping,
+    schedule capture, reason counts, cost annotation, CV grading of
+    touched points, and recorder emits, with the campaign-specific
+    pieces injected: ``observe(planner, proposal, result)`` folds a cell
+    into its planner, ``samples_for(planner, collector, multiple)``
+    yields the samples a grade is computed over.
     """
     from repro.observability import CellGraded, PlannerRound
     from repro.planner import grade_cell, predict_cost
@@ -1128,12 +1058,8 @@ def _run_adaptive_minheap(
         for spec in grid.specs
     }
 
-    def observe(planner, proposal, result):
-        planner.observe(proposal.collector, proposal.multiple, result)
-
     rounds, schedule, grades = _campaign_rounds(
-        plan, engine, cost_model, planners, observe,
-        lambda planner, collector, multiple: planner.wall_samples(collector, multiple),
+        plan, engine, cost_model, planners, _observe, _wall_samples
     )
     min_multiples: Dict[Tuple[str, str], float] = {}
     for spec in grid.specs:

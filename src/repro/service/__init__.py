@@ -30,7 +30,7 @@ Four modules, one per concern:
   on stdlib :class:`~http.server.ThreadingHTTPServer` (submit / status
   / result / cancel / health / metrics — no new dependencies) in front
   of worker threads that execute jobs through
-  :func:`~repro.harness.experiments.supervised_sweep`, one
+  :func:`~repro.harness.experiments.run_campaign`, one
   :class:`~repro.resilience.Supervisor` per job so deadline budgets,
   breakers, and cancellation become per-job admission control and
   refused cells surface as typed holes in the status payload;

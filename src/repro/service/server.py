@@ -397,13 +397,7 @@ class ServiceWorker:
         if job.cancel_requested:
             state, error = "CANCELLED", "cancelled mid-sweep"
         elif campaign.empty:
-            state = "FAILED"
-            error = (
-                "no feasible (benchmark, collector) pair — every search "
-                "failed or was refused"
-                if campaign.kind == "minheap"
-                else "no complete (collector, heap) group — every cell was refused or failed"
-            )
+            state, error = "FAILED", campaign.empty_reason
         elif holes:
             state, error = "PARTIAL", None
         else:

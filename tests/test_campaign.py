@@ -26,6 +26,7 @@ import pytest
 from repro import RunConfig, registry
 from repro.core.latency import FULL_SMOOTHING
 from repro.core.minheap import find_min_heap
+from repro.harness import experiments
 from repro.harness.cli import main as cli_main
 from repro.harness.engine import Cell, ExecutionEngine
 from repro.harness.experiments import (
@@ -33,7 +34,14 @@ from repro.harness.experiments import (
     minheap_experiment,
     run_campaign,
 )
-from repro.harness.plans import plan_adaptive, plan_latency, plan_minheap, run_adaptive, run_plan
+from repro.harness.plans import (
+    PLAN_KINDS,
+    plan_adaptive,
+    plan_latency,
+    plan_minheap,
+    run_adaptive,
+    run_plan,
+)
 from repro.jvm.collectors import COLLECTOR_NAMES
 from repro.service import JobQueue, JobSpec, SweepService
 
@@ -90,6 +98,24 @@ class TestLatencyGoldens:
                 continue
             for q, want in ladder.items():
                 assert report.metered_at(window)[q] == want, (bench, window, q)
+
+
+class TestCampaignEntryPoint:
+    @pytest.mark.parametrize("kind", PLAN_KINDS)
+    def test_one_plan_run_and_no_implicit_supervisor(self, kind, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return run_plan(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_plan", counting)
+        engine = ExecutionEngine()
+        campaign = run_campaign(
+            kind, registry.workload("cassandra"), ("G1",), (2.0,), QUICK, engine
+        )
+        assert len(calls) == 1 and calls[0]["supervisor"] is None
+        assert not engine.supervised and not campaign.empty
 
 
 class TestMinHeapCampaign:

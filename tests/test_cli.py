@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.cli import build_parser, main
+from repro.resilience import Supervisor
 
 
 class TestParser:
@@ -192,6 +193,36 @@ class TestSupervisedLbo:
         captured = capsys.readouterr()
         assert "lusearch" in captured.out
         assert "incomplete" not in captured.err
+
+
+class TestSupervisedCampaignVerbs:
+    """Every campaign verb handles a supervised run like ``chopin lbo``:
+    refused cells are holes summarised on stderr, and the exit is 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["latency", "cassandra"],
+            ["minheap", "lusearch", "--collector", "G1"],
+            ["trace", "fop", "--collector", "G1"],
+        ],
+        ids=["latency", "minheap", "trace"],
+    )
+    def test_tiny_budget_exits_cleanly_with_holes(self, capsys, tmp_path, argv):
+        if argv[0] == "trace":
+            argv = argv + ["--trace-out", str(tmp_path / "trace.json")]
+        argv = argv + ["--budget", "0.000001", "--invocations", "1", "--scale", "0.05"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "supervision:" in err and "over budget" in err
+
+    def test_unsupervised_run_installs_no_signal_handlers(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an unsupervised run entered the default supervisor")
+
+        monkeypatch.setattr(Supervisor, "install", refuse)
+        assert main(["lbo", "fop", "--invocations", "1", "--scale", "0.02"]) == 0
+        assert "normalized time overhead" in capsys.readouterr().out
 
 
 class TestDoctorCommand:

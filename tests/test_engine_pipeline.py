@@ -157,9 +157,18 @@ class TestBatchScalarCacheContract:
         specs = [registry.workload(n) for n in self.SPECS]
         return run_campaign("lbo", specs, config=AGGREGATE, engine=engine).rendered()
 
-    def test_rendered_campaign_is_kernel_independent(self, tmp_path):
+    def test_rendered_campaign_is_kernel_independent(self, tmp_path, monkeypatch):
         scalar = self.render(ExecutionEngine())
+        kernel = batch_mod.simulate_batch
+        rows = []
+
+        def counting(*args, **kwargs):
+            rows.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "simulate_batch", counting)
         assert self.render(ExecutionEngine(batch=True, cache_dir=tmp_path)) == scalar
+        assert rows  # the batch kernel, not the scalar path, filled the cache
         warm = ExecutionEngine(cache_dir=tmp_path)
         assert self.render(warm) == scalar
         assert warm.stats.executed == 0

@@ -14,9 +14,9 @@ from repro import (
     chrome_trace,
     plan_lbo,
     registry,
+    run_campaign,
     run_plan,
     simulate_run,
-    trace_sweep,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -350,11 +350,12 @@ class TestBitIdentical:
 
     def test_trace_sweep_matches_untraced_sweep(self, lusearch):
         config = sweep_config()
-        session = trace_sweep(lusearch, ("G1",), (2.0, 3.0), config)
+        engine = ExecutionEngine(recorder=Recorder())
+        campaign = run_campaign("lbo", lusearch, ("G1",), (2.0, 3.0), config, engine)
         plain = run_plan(plan_lbo(lusearch, ("G1",), (2.0, 3.0), config))
-        assert session.result.per_benchmark == plain.per_benchmark
-        assert len(session.recorder.events()) > 0
-        assert session.stats.executed == 4
+        assert campaign.result.per_benchmark == plain.per_benchmark
+        assert len(engine.recorder.events()) > 0
+        assert campaign.stats.executed == 4
 
 
 class TestChromeTraceExport:

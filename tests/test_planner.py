@@ -2,6 +2,8 @@
 cell grades, gmean ranking, and the run_adaptive loop's guarantees —
 byte-identical schedules, bit-identical cells, and real cell savings."""
 
+import hashlib
+
 import pytest
 
 from repro import (
@@ -41,6 +43,39 @@ from repro.planner import (
 )
 from repro.planner.policy import _tiebreak
 from repro.resilience import CostModel
+
+
+#: SHA-256 of lusearch's adaptive LBO campaign (seed 7, ``fast_config``)
+#: as :func:`adaptive_digest` serialises it.  It pins the round loop's
+#: schedule, round records, grades, crossovers and ranking, so a change
+#: to any of them fails loudly rather than only between two runs.
+ADAPTIVE_LBO_DIGEST = "86619fc2d5c0aaaf8ec0edf840ab2aa4ca8bf5daf514de844039bf45e0c160c7"
+
+
+def adaptive_digest(result):
+    """Hash everything an adaptive run decided, floats as ``float.hex``."""
+    h = float.hex
+    lines = list(result.schedule)
+    lines += [
+        repr((r.index, r.proposed, r.executed, r.budget_left, r.reasons, h(r.estimated_cost_s)))
+        for r in result.rounds
+    ]
+    for key in sorted(result.grades):
+        g = result.grades[key]
+        lines.append(repr((
+            g.benchmark, g.collector, h(g.heap_multiple), h(g.cv),
+            g.samples, h(g.score), g.grade, g.issues,
+        )))
+    lines += [
+        repr((key, tuple(h(p) for p in points)))
+        for key, points in sorted(result.crossovers.items())
+    ]
+    lines += [
+        repr((s.collector, tuple((name, h(v)) for name, v in s.components)))
+        for s in result.ranking
+    ]
+    lines.append(repr(result.unranked))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def costs(wall, task=None, attributable_wall=0.0, attributable_cpu=0.0):
@@ -323,6 +358,11 @@ class TestRunAdaptive:
         assert first.crossovers == second.crossovers
         assert first.ranking == second.ranking
         assert [r.reasons for r in first.rounds] == [r.reasons for r in second.rounds]
+
+    def test_lbo_campaign_matches_golden_digest(self, lusearch, fast_config):
+        plan = plan_adaptive(lusearch, config=fast_config, seed=7)
+        result = run_adaptive(plan, engine=ExecutionEngine())
+        assert adaptive_digest(result) == ADAPTIVE_LBO_DIGEST
 
     def test_seed_changes_tiebreak_not_answers(self, lusearch, fast_config):
         plan_a = plan_adaptive(lusearch, config=fast_config, seed=0)

@@ -27,7 +27,7 @@ from repro.harness.engine import (
     _call_with_timeout,
     engine_from_env,
 )
-from repro.harness.experiments import supervised_sweep
+from repro.harness.experiments import run_campaign
 from repro.harness.plans import plan_lbo, run_plan
 from repro.observability import (
     BreakerOpened,
@@ -556,10 +556,10 @@ class TestHoleTaxonomy:
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("permanent")),
         )
         engine = ExecutionEngine(retry=RetryPolicy(retries=1, backoff_base_s=0.001))
-        with pytest.raises(engine_mod.OutOfMemoryError):
-            # Every group is holed, so LBO assembly has nothing to build
-            # from — but the holes and stats must still be accounted.
-            self.run(lusearch, engine)
+        # Every group is holed, so LBO assembly has nothing to build
+        # from — but the holes and stats must still be accounted.
+        result, holes, _ = self.run(lusearch, engine)
+        assert result is None and len(holes) == 2
         assert self.hole_counts(engine.stats) == {
             "gave_up": 2, "budget_skipped": 0, "breaker_skipped": 0, "drained": 0,
         }
@@ -640,29 +640,45 @@ class TestSupervisedSweep:
     def test_total_refusal_yields_no_result_not_an_error(self, lusearch):
         sup = frozen_supervisor(budget_s=1e-9)
         sup.observe("lusearch", "G1", 1.0)  # evidence: even cell 1 refused
-        sweep = supervised_sweep(
+        campaign = run_campaign(
+            "lbo",
             lusearch,
             collectors=("G1",),
             multiples=(2.0,),
             config=RunConfig(invocations=2, iterations=2, duration_scale=0.05),
             supervisor=sup,
         )
-        assert sweep.result is None and not sweep.complete
-        assert sweep.cells == 2 and len(sweep.holes) == 2
-        assert sweep.stats.budget_skipped == 2
+        assert campaign.result is None and campaign.holes
+        assert campaign.cells == 2 and len(campaign.holes) == 2
+        assert campaign.stats.budget_skipped == 2
 
     def test_unconstrained_sweep_matches_plain_run(self, lusearch):
         config = RunConfig(invocations=2, iterations=2, duration_scale=0.05)
-        sweep = supervised_sweep(
+        campaign = run_campaign(
+            "lbo",
             lusearch,
             collectors=("G1",),
             multiples=(2.0, 3.0),
             config=config,
             supervisor=Supervisor(stream=io.StringIO()),
         )
-        assert sweep.complete and not sweep.drained
+        assert not campaign.holes and not campaign.drained
         baseline = run_plan(plan_lbo(lusearch, ("G1",), (2.0, 3.0), config))
-        assert sweep.result.per_benchmark == baseline.per_benchmark
+        assert campaign.result.per_benchmark == baseline.per_benchmark
+
+    def test_strict_campaign_raises_on_a_refused_cell(self, lusearch):
+        sup = frozen_supervisor(budget_s=1e-9)
+        sup.observe("lusearch", "G1", 1.0)
+        with pytest.raises(CellExecutionError):
+            run_campaign(
+                "lbo",
+                lusearch,
+                collectors=("G1",),
+                multiples=(2.0,),
+                config=RunConfig(invocations=2, iterations=2, duration_scale=0.05),
+                supervisor=sup,
+                strict=True,
+            )
 
 
 class TestSupervisionObservability:
