@@ -24,7 +24,12 @@ from repro.core.compare import compare_collectors
 from repro.core.insights import format_insights
 from repro.core.nominal import format_report
 from repro.core.pca import determinant_metrics, suite_pca
-from repro.harness.config import HarnessConfig, engine_from_config, harness_config
+from repro.harness.config import (
+    HarnessConfig,
+    engine_from_config,
+    harness_config,
+    warn_deprecated,
+)
 from repro.harness.engine import ExecutionEngine
 from repro.harness.experiments import Campaign, chaos_drill, run_campaign
 from repro.harness.perfdiff import (
@@ -39,7 +44,6 @@ from repro.resilience import (
     CostModel,
     Supervisor,
     compact_jobs_journal,
-    compact_journal,
     scan_cache,
     scan_jobs_journal,
     verify_cells,
@@ -110,6 +114,16 @@ def _rate(text: str) -> float:
     return value
 
 
+class _Deprecated(argparse.Action):
+    """A retired flag, accepted for one more round: its value is stored
+    as before, it does nothing, and passing it prints one deprecation
+    line on stderr."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        warn_deprecated(option_string)
+        setattr(namespace, self.dest, values)
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     # Engine flags default to None ("not specified"): resolution follows
     # repro.harness.config precedence — flag > CHOPIN_* env > default —
@@ -163,10 +177,11 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--resume",
+        action=_Deprecated,
         default=None,
         metavar="JOURNAL",
-        help="checkpoint journal path: completed cells are journalled and an "
-        "interrupted sweep resumes from where it stopped",
+        help="deprecated and ignored: rerun with the same --cache-dir to "
+        "resume an interrupted sweep",
     )
     parser.add_argument(
         "--chaos-rate",
@@ -187,7 +202,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="wall-clock deadline budget: cells the cost model says cannot "
-        "finish in time become typed holes a --resume run can fill",
+        "finish in time become typed holes a rerun with the same "
+        "--cache-dir can fill",
     )
     parser.add_argument(
         "--breaker-threshold",
@@ -238,15 +254,13 @@ def _config(args: argparse.Namespace) -> RunConfig:
 def _supervisor(config: HarnessConfig, args: argparse.Namespace) -> Optional[Supervisor]:
     if config.budget_s is None and config.breaker_threshold is None:
         return None
-    if config.resume:
-        hint = f"re-run the same command with --resume {config.resume} to fill them"
-    elif config.effective_cache_dir:
+    if config.effective_cache_dir:
         hint = (
             f"re-run the same command with --cache-dir "
             f"{config.effective_cache_dir} to fill them"
         )
     else:
-        hint = "re-run with --cache-dir or --resume to make the holes fillable"
+        hint = "re-run with --cache-dir to make the holes fillable"
     return Supervisor(
         budget_s=config.budget_s,
         breaker_threshold=config.breaker_threshold,
@@ -264,7 +278,6 @@ def _engine(args: argparse.Namespace) -> ExecutionEngine:
         progress=True if args.cell_progress else None,
         retries=args.retries,
         cell_timeout_s=args.cell_timeout,
-        resume=args.resume,
         chaos_rate=args.chaos_rate,
         chaos_seed=args.chaos_seed,
         budget_s=getattr(args, "budget", None),
@@ -306,7 +319,7 @@ def _campaign(
 
     A supervised engine (``--budget``/``--breaker-threshold``) runs under
     its supervisor's signal handlers, where the first Ctrl-C drains and
-    leaves journal and cache consistent, and never strictly: a refused
+    leaves the cache consistent, and never strictly: a refused
     or failed cell is a typed hole, because a budget-truncated campaign
     is a result, not an error.  An unsupervised run keeps the verb's
     ``strict`` contract and never enters the engine's inert default
@@ -703,14 +716,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         )
     elif scan.unhealthy and args.dry_run:
         print(f"doctor: dry run — {scan.unhealthy} unhealthy entries left in place")
-    if args.journal:
-        compaction = compact_journal(args.journal)
-        print(
-            f"doctor: journal {compaction.lines_before} -> "
-            f"{compaction.lines_after} lines ({compaction.torn} torn, "
-            f"{compaction.duplicates} duplicate"
-            f"{'' if compaction.compacted else '; already clean'})"
-        )
     if args.jobs_journal:
         jobs_scan = scan_jobs_journal(args.jobs_journal)
         states = ", ".join(
@@ -766,7 +771,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         progress=True if args.cell_progress else None,
         retries=args.retries,
         cell_timeout_s=args.cell_timeout,
-        resume=args.resume,
         chaos_rate=args.chaos_rate,
         chaos_seed=args.chaos_seed,
         budget_s=args.budget,
@@ -1111,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_doc = sub.add_parser(
-        "doctor", help="self-heal the result cache and checkpoint journal"
+        "doctor", help="self-heal the result cache and the service job journal"
     )
     p_doc.add_argument(
         "--cache-dir",
@@ -1121,8 +1125,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_doc.add_argument(
         "--journal",
+        action=_Deprecated,
         default=None,
-        help="checkpoint journal to compact (torn lines dropped, duplicates collapsed)",
+        help="deprecated and ignored: sweeps resume from the result cache, "
+        "which --cache-dir already heals",
     )
     p_doc.add_argument(
         "--jobs-journal",

@@ -16,7 +16,8 @@ environment, and an unset environment falls through to the documented
 default — the CLI, the env-driven benchmark harness, and library callers
 all resolve the same knob the same way.
 
-Recognised environment variables (one per :class:`HarnessConfig` field):
+Recognised environment variables (one per :class:`HarnessConfig` field,
+apart from the deprecated ``CHOPIN_RESUME``):
 
 ====================== ==========================================================
 ``CHOPIN_JOBS``        worker processes for sweep cells (default 1: in-process)
@@ -25,7 +26,7 @@ Recognised environment variables (one per :class:`HarnessConfig` field):
 ``CHOPIN_PROGRESS``    log per-cell progress to stderr (any non-empty value)
 ``CHOPIN_RETRIES``     retry budget per cell for transient failures
 ``CHOPIN_CELL_TIMEOUT`` per-cell wall-clock timeout in seconds
-``CHOPIN_RESUME``      checkpoint journal path (interrupted sweeps resume)
+``CHOPIN_RESUME``      deprecated and ignored: rerun with the same ``CHOPIN_CACHE_DIR``
 ``CHOPIN_CHAOS_RATE``  seeded fault-injection rate in [0, 1]
 ``CHOPIN_CHAOS_SEED``  seed for deterministic fault injection
 ``CHOPIN_BUDGET``      wall-clock deadline budget in seconds (supervisor)
@@ -49,6 +50,7 @@ over :func:`harness_config` + :func:`engine_from_config`.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
@@ -75,7 +77,6 @@ class HarnessConfig:
     progress: bool = False
     retries: int = 0
     cell_timeout_s: Optional[float] = None
-    resume: Optional[str] = None
     chaos_rate: Optional[float] = None
     chaos_seed: int = 0
     budget_s: Optional[float] = None
@@ -155,8 +156,22 @@ def _env_bool(environ, name: str, default: bool, example: str) -> bool:
     )
 
 
+def warn_deprecated(name: str) -> None:
+    """Print the one stderr line for a retired resume knob (``--resume``,
+    ``CHOPIN_RESUME``, ``chopin doctor --journal``).  Each is still
+    accepted for one round, and does nothing."""
+    print(
+        f"chopin: {name} is deprecated and ignored; completed cells are in "
+        f"the result cache, so rerunning with the same --cache-dir resumes "
+        f"a sweep",
+        file=sys.stderr,
+    )
+
+
 def _from_environ(environ: Mapping[str, str]) -> HarnessConfig:
     """The environment layer: every ``CHOPIN_*`` variable, validated."""
+    if environ.get("CHOPIN_RESUME"):
+        warn_deprecated("CHOPIN_RESUME")
     fidelity = environ.get("CHOPIN_FIDELITY") or None
     if fidelity == "auto":
         fidelity = None
@@ -171,7 +186,6 @@ def _from_environ(environ: Mapping[str, str]) -> HarnessConfig:
         progress=bool(environ.get("CHOPIN_PROGRESS")),
         retries=_env_int(environ, "CHOPIN_RETRIES", 0, "3"),
         cell_timeout_s=_env_float(environ, "CHOPIN_CELL_TIMEOUT", None, "30.0"),
-        resume=environ.get("CHOPIN_RESUME") or None,
         chaos_rate=_env_float(environ, "CHOPIN_CHAOS_RATE", None, "0.1"),
         chaos_seed=_env_int(environ, "CHOPIN_CHAOS_SEED", 0, "42"),
         budget_s=_env_float(environ, "CHOPIN_BUDGET", None, "600"),
@@ -328,7 +342,6 @@ def engine_from_config(config: HarnessConfig, supervisor=None, cache=None):
         progress=LogSink() if config.progress else None,
         retry=retry,
         injector=injector,
-        checkpoint=config.resume,
         supervisor=supervisor,
         batch=config.batch,
     )

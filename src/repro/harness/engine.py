@@ -38,11 +38,12 @@ arguments and the simulator reseeds from them.
 
 Resilience (:mod:`repro.resilience`) extends the guarantee to failure:
 an :class:`~repro.resilience.FaultInjector` injects seeded chaos into
-attempts, a :class:`~repro.resilience.RetryPolicy` bounds timeouts and
-backoff, and a :class:`~repro.resilience.CheckpointJournal` makes
-interrupted sweeps resumable.  Faults replace or delay attempts but
-never perturb a successful simulation, so a chaos run that converges is
-bit-identical to a fault-free one.  Every cell runs the same attempt
+attempts, and a :class:`~repro.resilience.RetryPolicy` bounds timeouts
+and backoff.  An interrupted sweep resumes through the result cache:
+rerun it with the same cache and only the cells it never finished
+execute.  Faults replace or delay attempts but never perturb a
+successful simulation, so a chaos run that converges is bit-identical
+to a fault-free one.  Every cell runs the same attempt
 loop (:func:`_attempt_cell`) wherever its unit runs; with all of it off
 (the default) the loop makes one attempt, with no timeout thread and no
 injected faults.
@@ -75,7 +76,6 @@ from repro.observability import events as flight
 from repro.resilience import (
     CellExecutionError,
     CellTimeout,
-    CheckpointJournal,
     FaultInjector,
     FaultSpec,
     NullInjector,
@@ -547,7 +547,6 @@ class EngineStats:
     timeouts: int = 0  # attempts that blew the per-cell timeout
     gave_up: int = 0  # cells that exhausted their retry budget (holes)
     corrupt: int = 0  # cache entries that existed but failed to load
-    resumed: int = 0  # cache hits confirmed by the checkpoint journal
     budget_skipped: int = 0  # cells refused by the deadline budget
     breaker_skipped: int = 0  # cells refused by an open circuit breaker
     drained: int = 0  # cells refused by a graceful-shutdown drain
@@ -588,7 +587,6 @@ class EngineStats:
             timeouts=self.timeouts - other.timeouts,
             gave_up=self.gave_up - other.gave_up,
             corrupt=self.corrupt - other.corrupt,
-            resumed=self.resumed - other.resumed,
             budget_skipped=self.budget_skipped - other.budget_skipped,
             breaker_skipped=self.breaker_skipped - other.breaker_skipped,
             drained=self.drained - other.drained,
@@ -673,16 +671,14 @@ class ExecutionEngine:
     with the recorder on or off, and cache hits still appear in the trace
     as zero-work hit spans.
 
-    Resilience is opt-in through three more collaborators, all inert by
+    Resilience is opt-in through two more collaborators, both inert by
     default: ``retry`` (a :class:`~repro.resilience.RetryPolicy` adding
-    per-cell timeouts and bounded backoff), ``injector`` (a
+    per-cell timeouts and bounded backoff) and ``injector`` (a
     :class:`~repro.resilience.FaultInjector` injecting seeded chaos into
-    attempts), and ``checkpoint`` (a
-    :class:`~repro.resilience.CheckpointJournal` — or a path to one —
-    journalling completed cells so interrupted sweeps resume).  Retry,
-    timeout and chaos act inside each cell's attempt loop, wherever the
-    cell runs; the checkpoint journal is appended as each result is
-    recorded.
+    attempts).  Both act inside each cell's attempt loop, wherever the
+    cell runs.  Resuming an interrupted sweep needs no collaborator:
+    each result is written to the cache as it is recorded, so a rerun
+    over the same cache executes only the missing cells.
 
     ``supervisor`` attaches a :class:`~repro.resilience.Supervisor`: the
     engine then consults it before starting each cache-missed cell
@@ -702,7 +698,6 @@ class ExecutionEngine:
         recorder: Optional[RecorderLike] = None,
         retry: Optional[RetryPolicy] = None,
         injector: Optional[NullInjector] = None,
-        checkpoint: Optional[Union[str, Path, CheckpointJournal]] = None,
         supervisor: Optional[Supervisor] = None,
         batch: bool = False,
         cache: Optional[ResultCache] = None,
@@ -732,14 +727,7 @@ class ExecutionEngine:
         self.recorder = recorder if recorder is not None else flight.NullRecorder()
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector if injector is not None else NullInjector()
-        if isinstance(checkpoint, (str, Path)):
-            checkpoint = CheckpointJournal(checkpoint)
-        self.checkpoint = checkpoint
-        # An attached supervisor admits every miss cell by cell even when
-        # it has no budget or breaker — a signal-initiated drain must
-        # still work.
-        self._supervised = supervisor is not None
-        self.supervisor = supervisor if supervisor is not None else Supervisor()
+        self.attach_supervisor(supervisor)
         self.stats = EngineStats()
         # Per-batch attempt history (faults injected, retries charged),
         # kept out of CellResult so cached payloads stay bit-identical
@@ -751,12 +739,15 @@ class ExecutionEngine:
         self._worker_clocks = [0.0] * jobs
         self._next_track = 1  # track 0 is the cache-counter track
 
-    def attach_supervisor(self, supervisor: Supervisor) -> None:
-        """Attach (or replace) the engine's supervisor after
-        construction — how :func:`~repro.harness.plans.run_plan` threads
-        one through to a caller-provided engine."""
-        self.supervisor = supervisor
-        self._supervised = True
+    def attach_supervisor(self, supervisor: Optional[Supervisor]) -> None:
+        """Attach, replace, or (with ``None``) detach the engine's
+        supervisor — how :func:`~repro.harness.plans.run_plan` scopes
+        one to a single run of a caller-provided engine."""
+        # An attached supervisor admits every miss cell by cell even when
+        # it has no budget or breaker — a signal-initiated drain must
+        # still work.
+        self._supervised = supervisor is not None
+        self.supervisor = supervisor if supervisor is not None else Supervisor()
 
     @property
     def supervised(self) -> bool:
@@ -772,7 +763,6 @@ class ExecutionEngine:
         return (
             self.injector.enabled
             or self.retry.active
-            or self.checkpoint is not None
             or self._supervised
         )
 
@@ -815,24 +805,12 @@ class ExecutionEngine:
         misses: List[int] = []
         hit_indices = set()
         cache_corrupt_before = self.cache.corrupt if self.cache is not None else 0
-        journal_done = (
-            self.checkpoint.completed() if self.checkpoint is not None else frozenset()
-        )
         for idx, (cell, key) in enumerate(keyed):
             hit = self.cache.get(key) if self.cache is not None else None
             if hit is not None:
                 results[idx] = hit
                 hit_indices.add(idx)
                 self.stats.cached += 1
-                if self.checkpoint is not None:
-                    if key in journal_done:
-                        self.stats.resumed += 1
-                    else:
-                        # A hit the journal missed (e.g. the interrupt
-                        # landed between cache write and journal append):
-                        # journal it now so the manifest converges on the
-                        # full sweep.
-                        self.checkpoint.record(key, oom=hit.oom is not None)
                 if hit.oom is not None:
                     self.stats.oom += 1
                     self.stats.negative_hits += 1
@@ -861,9 +839,9 @@ class ExecutionEngine:
         if self._supervised and self.supervisor.draining:
             drained = sum(1 for h in holes if h.reason == "drained")
             if drained:
-                # Everything completed is already durable (fsync'd
-                # journal appends, atomic cache writes) — announce the
-                # clean drain and how to pick the sweep back up.
+                # Everything completed is already in the cache (atomic
+                # writes) — announce the clean drain and how to pick the
+                # sweep back up.
                 self.supervisor.drain_finished(drained)
         if partial:
             return PartialBatch(results=list(results), holes=holes)
@@ -1076,9 +1054,9 @@ class ExecutionEngine:
     def _record(self, idx: int, cell: Cell, key: str, result: CellResult) -> None:
         """Account for one freshly-executed cell and persist it, in this
         order: stats and cache write, progress callback, supervisor cost
-        model, checkpoint journal, then injected cache-entry corruption
-        (*after* the write, so the tear is observed by the next reader,
-        exactly like real disk rot)."""
+        model, then injected cache-entry corruption (*after* the write,
+        so the tear is observed by the next reader, exactly like real
+        disk rot)."""
         self.stats.executed += 1
         self.stats.execute_s += result.duration_s
         if result.oom is not None:
@@ -1090,8 +1068,6 @@ class ExecutionEngine:
             # Feed the cost model (and close any half-open breaker): a
             # negative result still counts — the harness *ran* the cell.
             self.supervisor.observe(cell.spec.name, cell.collector, result.duration_s)
-        if self.checkpoint is not None:
-            self.checkpoint.record(key, oom=result.oom is not None)
         if self.injector.enabled and self.cache is not None and self.injector.corrupts(key):
             if corrupt_entry(self.cache.path_for(key)):
                 self._attempt_log.setdefault(idx, []).append(("fault", "corrupt", 0))
@@ -1246,8 +1222,7 @@ def engine_from_env(environ=os.environ) -> ExecutionEngine:
     shared with the ``chopin`` CLI.  Recognised: ``CHOPIN_JOBS``,
     ``CHOPIN_CACHE_DIR``, ``CHOPIN_NO_CACHE``, ``CHOPIN_PROGRESS``,
     ``CHOPIN_RETRIES``, ``CHOPIN_CELL_TIMEOUT`` (seconds),
-    ``CHOPIN_RESUME`` (checkpoint journal path), ``CHOPIN_CHAOS_RATE``,
-    ``CHOPIN_CHAOS_SEED``, ``CHOPIN_BUDGET`` (wall-clock deadline
+    ``CHOPIN_CHAOS_RATE``, ``CHOPIN_CHAOS_SEED``, ``CHOPIN_BUDGET`` (wall-clock deadline
     budget, seconds), ``CHOPIN_BREAKER`` (circuit-breaker threshold,
     consecutive give-ups), ``CHOPIN_FIDELITY``, and ``CHOPIN_BATCH``
     (vectorized batch execution).  Malformed values raise a

@@ -325,35 +325,42 @@ def run_plan(
     :func:`~repro.jvm.simulator.simulate_run` applies when recording.
 
     ``supervisor`` attaches a :class:`~repro.resilience.Supervisor` to
-    the engine for this (and subsequent) runs: cells the budget, a
-    tripped breaker, or a graceful drain refuses become typed holes —
-    combine with ``partial`` unless a refusal should fail the sweep.
+    the engine for this run only: cells the budget, a tripped breaker,
+    or a graceful drain refuses become typed holes — combine with
+    ``partial`` unless a refusal should fail the sweep.  The engine's
+    previous supervisor (or none) is restored when the run ends, also
+    when it raises.
     """
     engine = engine if engine is not None else ExecutionEngine()
+    previous = engine.supervisor if engine.supervised else None
     if supervisor is not None:
         engine.attach_supervisor(supervisor)
     if engine.recorder.enabled and plan.config.fidelity != FIDELITY_FULL:
         plan = replace(plan, config=replace(plan.config, fidelity=FIDELITY_FULL))
     before = dataclasses.replace(engine.stats)
     holes: List[Hole] = []
-    if plan.kind == "minheap":
-        assembled, holes = _run_minheap(plan, engine, strict=strict, partial=partial)
-    else:
-        if partial and not strict:
-            batch = engine.run_cells(plan.cells(), partial=True)
-            results: Sequence[Optional[CellResult]] = batch.results
-            holes = batch.holes
+    try:
+        if plan.kind == "minheap":
+            assembled, holes = _run_minheap(plan, engine, strict=strict, partial=partial)
         else:
-            results = engine.run_cells(plan.cells())
-        if plan.kind == "latency":
-            assembled = _assemble_latency(plan, results, strict)
-        else:
-            try:
-                assembled = _assemble_lbo(plan, results)
-            except OutOfMemoryError:
-                if strict or not partial:
-                    raise
-                assembled = None
+            if partial and not strict:
+                batch = engine.run_cells(plan.cells(), partial=True)
+                results: Sequence[Optional[CellResult]] = batch.results
+                holes = batch.holes
+            else:
+                results = engine.run_cells(plan.cells())
+            if plan.kind == "latency":
+                assembled = _assemble_latency(plan, results, strict)
+            else:
+                try:
+                    assembled = _assemble_lbo(plan, results)
+                except OutOfMemoryError:
+                    if strict or not partial:
+                        raise
+                    assembled = None
+    finally:
+        if supervisor is not None:
+            engine.attach_supervisor(previous)
     out = [assembled]
     if partial:
         out.append(holes)

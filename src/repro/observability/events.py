@@ -259,7 +259,7 @@ class BreakerOpened(TraceEvent):
 @dataclass(frozen=True)
 class DrainStarted(TraceEvent):
     """Graceful shutdown began: no new cells start, in-flight cells
-    finish and are journalled.  ``signal`` names the trigger (SIGINT,
+    finish and are cached.  ``signal`` names the trigger (SIGINT,
     SIGTERM, or a programmatic drain request)."""
 
     signal: str = ""

@@ -1,7 +1,7 @@
-"""repro.resilience — fault injection, retries, and checkpointed sweeps.
+"""repro.resilience — fault injection, retries, supervision, and self-healing.
 
-The execution engine's answer to failure at production scale, in three
-parts that compose:
+The execution engine's answer to failure at production scale, in parts
+that compose:
 
 - :mod:`.faults` — a deterministic, seeded chaos injector
   (:class:`FaultInjector`) whose fault sequence is a pure function of
@@ -10,14 +10,21 @@ parts that compose:
 - :mod:`.retry` — the :class:`RetryPolicy` (per-cell timeouts, bounded
   exponential backoff with deterministic jitter) and the
   transient-vs-permanent taxonomy (:func:`classify`);
-- :mod:`.checkpoint` — the append-only :class:`CheckpointJournal` that
-  makes interrupted sweeps resumable on top of the result cache;
 - :mod:`.supervisor` — the :class:`Supervisor` that wraps a whole sweep:
   wall-clock deadline budgets (EWMA cost model), per-family circuit
   breakers with half-open probes, and graceful SIGINT/SIGTERM drains;
+- :mod:`.journal` — the service job journal's JSONL discipline
+  (rotation segments, torn-tail tolerant reads, ``fsync``'d appends,
+  crash-safe rewrites) and its one replay fold, shared by the job queue
+  and the doctor;
 - :mod:`.doctor` — cache/journal self-healing behind ``chopin doctor``:
-  quarantine corrupt/stale/misplaced cache entries, compact the
-  checkpoint journal, re-verify sampled cells against recomputation.
+  quarantine corrupt/stale/misplaced cache entries, scan and compact the
+  job journal, re-verify sampled cells against recomputation.
+
+An interrupted sweep needs no journal of its own: every completed cell
+is already in the content-addressed result cache, written by atomic
+rename, so rerunning the same command with the same cache directory
+resumes it.
 
 Design contract, mirrored from the flight recorder: resilience is
 *observational about results*.  An injected fault replaces or delays an
@@ -26,15 +33,12 @@ converges produces bit-identical results to a fault-free run — pinned by
 tests, and checked in CI by the chaos smoke job.
 """
 
-from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.doctor import (
     CacheScan,
     JobsJournalCompaction,
     JobsJournalScan,
-    JournalCompaction,
     VerifyReport,
     compact_jobs_journal,
-    compact_journal,
     scan_cache,
     scan_jobs_journal,
     verify_cells,
@@ -73,7 +77,6 @@ __all__ = [
     "CacheScan",
     "CellExecutionError",
     "CellTimeout",
-    "CheckpointJournal",
     "CircuitBreaker",
     "CostModel",
     "EXECUTION_FAULTS",
@@ -83,7 +86,6 @@ __all__ = [
     "InjectedFault",
     "JobsJournalCompaction",
     "JobsJournalScan",
-    "JournalCompaction",
     "NullInjector",
     "NullServiceInjector",
     "RetryPolicy",
@@ -99,7 +101,6 @@ __all__ = [
     "WorkerCrash",
     "classify",
     "compact_jobs_journal",
-    "compact_journal",
     "corrupt_entry",
     "scan_cache",
     "scan_jobs_journal",

@@ -49,6 +49,7 @@ from repro.resilience.faults import (
     ServiceFaultSpec,
     corrupt_entry,
 )
+from repro.resilience.journal import segments as journal_segments
 from repro.service.jobqueue import Job, JobSpec
 from repro.service.server import SweepService
 from repro.service.shards import ShardedResultCache
@@ -132,7 +133,6 @@ def service_chaos_drill(
         max_requeues=3,
         queue_high_water=0,
         chaos_rate=0.0,
-        resume=None,
         budget_s=None,
         breaker_threshold=None,
         cache_dir=None,
@@ -275,7 +275,7 @@ def service_chaos_drill(
             (done.result or {}).get("rendered") == rendered_a,
             "rendered result byte-identical to the one-shot baseline",
         )
-        segments = len(service.queue._segments())
+        segments = len(journal_segments(service.queue.path))
         scenario.expect(
             segments >= 1, f"replay folded {segments} rotated journal segment(s)"
         )

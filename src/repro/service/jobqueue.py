@@ -30,18 +30,19 @@ again cannot :meth:`finish` or :meth:`heartbeat` the job it lost — the
 queue discards the attempt and counts it in :attr:`lease_losses`.
 
 Every transition is persisted as one JSON line in an append-only journal
-reusing the :class:`~repro.resilience.CheckpointJournal` idiom: appends
-are line-atomic and ``fsync``'d before the transition returns, and the
-reader tolerates a torn final line (the worst a crash can cost is one
-transition record, and an un-journalled ``RUNNING`` just replays as a
-re-queued ``QUEUED`` job).  When the active journal file exceeds
-``rotate_bytes`` it is atomically renamed to ``jobs.jsonl.<n>`` and a
-fresh active file started; replay folds every segment in rotation order
-before the active file, so rotation never loses a transition.  On
-construction the queue replays the journal: the latest state per job
-wins, non-terminal jobs go back on the heap, terminal jobs are retained
-with their persisted result payloads so a restarted service still
-answers ``GET /jobs/<id>/result``.
+(:mod:`repro.resilience.journal`): appends are line-atomic and
+``fsync``'d before the transition returns, and the reader tolerates a
+torn final line (the worst a crash can cost is one transition record,
+and an un-journalled ``RUNNING`` just replays as a re-queued ``QUEUED``
+job).  When the active journal file exceeds ``rotate_bytes`` it is
+atomically renamed to ``jobs.jsonl.<n>`` and a fresh active file
+started; replay folds every segment in rotation order before the active
+file, so rotation never loses a transition.  On construction the queue
+replays the journal through :func:`~repro.resilience.journal.fold_jobs`,
+the same fold ``chopin doctor`` reads: the latest state per job wins,
+non-terminal jobs go back on the heap, terminal jobs are retained with
+their persisted result payloads so a restarted service still answers
+``GET /jobs/<id>/result``.
 """
 
 from __future__ import annotations
@@ -56,17 +57,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.plans import PLAN_KINDS
-
-#: Every state a job can be in, in lifecycle order.
-JOB_STATES: Tuple[str, ...] = (
-    "QUEUED",
-    "RUNNING",
-    "DONE",
-    "FAILED",
-    "CANCELLED",
-    "PARTIAL",
-    "DEAD_LETTER",
-)
+from repro.resilience.journal import JOB_STATES, append, fold_jobs
 
 #: States a job never leaves.
 TERMINAL_STATES = frozenset(
@@ -313,19 +304,8 @@ class JobQueue:
             self._replay()
 
     # ------------------------------------------------------------------
-    # Journal (the CheckpointJournal idiom: fsync'd line-atomic appends,
-    # torn-tail tolerant replay, size-bounded rotation)
-
-    def _segments(self) -> List[Path]:
-        """Rotated journal segments in rotation (= chronological) order."""
-        if self.path is None:
-            return []
-        found = []
-        for candidate in self.path.parent.glob(self.path.name + ".*"):
-            suffix = candidate.name[len(self.path.name) + 1:]
-            if suffix.isdigit():
-                found.append((int(suffix), candidate))
-        return [path for _, path in sorted(found)]
+    # Journal (the discipline and the replay fold live in
+    # repro.resilience.journal; rotation is the writer's policy)
 
     def _append(self, record: dict) -> None:
         if self.path is None:
@@ -335,31 +315,14 @@ class JobQueue:
             # Chaos drill: simulate a crash mid-append — half the line,
             # no newline, no rotation.  The in-memory state already has
             # the transition; only a restart sees the torn journal.
-            line = line[: max(1, len(line) // 2)]
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a") as fh:
-                    if self._torn_tail:
-                        fh.write("\n")
-                    fh.write(line)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+            torn = line[: max(1, len(line) // 2)]
+            if append(self.path, torn, self._torn_tail) is not None:
                 self._torn_tail = True
-            except OSError:
-                pass
             return
-        if self._torn_tail:
-            line = "\n" + line
-            self._torn_tail = False
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-                size = fh.tell()
-        except OSError:
+        size = append(self.path, line + "\n", self._torn_tail)
+        if size is None:
             return  # the journal accelerates restart, it is not correctness
+        self._torn_tail = False
         if self.rotate_bytes is not None and size >= self.rotate_bytes:
             self._rotate()
 
@@ -377,23 +340,21 @@ class JobQueue:
             self._segment -= 1
 
     def _replay(self) -> None:
-        segments = self._segments()
-        if segments:
-            self._segment = int(segments[-1].name.rsplit(".", 1)[1])
-        for source in segments:
-            try:
-                text = source.read_text()
-            except OSError:
-                continue
-            for line in text.splitlines():
-                self._replay_line(line)
-        try:
-            text = self.path.read_text()
-        except OSError:
-            text = ""
-        self._torn_tail = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
-            self._replay_line(line)
+        fold = fold_jobs(self.path, JobSpec.from_payload)
+        if fold.segments:
+            self._segment = int(fold.segments[-1].name.rsplit(".", 1)[1])
+        self._torn_tail = fold.torn_tail
+        self._seq = fold.seq
+        self._idempotency.update(fold.idempotency)
+        for folded in fold.jobs.values():
+            self._jobs[folded.id] = Job(
+                id=folded.id,
+                spec=folded.spec,
+                seq=folded.seq,
+                state=folded.state,
+                requeues=folded.requeues,
+                **folded.outcome,
+            )
         # Jobs the dead process was running resume as QUEUED — their
         # completed cells are in the shared cache, so the re-run is warm —
         # unless they already burned their requeue budget, in which case
@@ -414,48 +375,6 @@ class JobQueue:
                 self._append({"id": job.id, "state": "QUEUED", "requeued": True})
             if job.state == "QUEUED":
                 heapq.heappush(self._heap, (-job.spec.priority, job.seq, job.id))
-
-    def _replay_line(self, line: str) -> None:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return  # torn line from an interrupted writer
-        if isinstance(record, dict):
-            self._apply(record)
-
-    def _apply(self, record: dict) -> None:
-        """Fold one journal line into the replayed state (last wins)."""
-        job_id = record.get("id")
-        if not isinstance(job_id, str):
-            return
-        job = self._jobs.get(job_id)
-        if job is None:
-            spec_payload = record.get("spec")
-            if not isinstance(spec_payload, dict):
-                return  # transition for a job whose submit line was lost
-            try:
-                spec = JobSpec.from_payload(spec_payload)
-            except ValueError:
-                return  # foreign or corrupt submit line
-            seq = record.get("seq")
-            seq = seq if isinstance(seq, int) else self._seq + 1
-            job = Job(id=job_id, spec=spec, seq=seq)
-            self._jobs[job_id] = job
-            self._seq = max(self._seq, seq)
-        state = record.get("state")
-        if isinstance(state, str) and state in JOB_STATES:
-            job.state = state
-        if record.get("requeued"):
-            job.requeues += 1
-        requeues = record.get("requeues")
-        if isinstance(requeues, int) and not isinstance(requeues, bool):
-            job.requeues = requeues  # compacted snapshot carries the count
-        key = record.get("idempotency_key")
-        if isinstance(key, str) and key:
-            self._idempotency[key] = job_id
-        for field_name in ("error", "cells", "holes", "stats", "result", "failure"):
-            if field_name in record:
-                setattr(job, field_name, record[field_name])
 
     # ------------------------------------------------------------------
     # Producer side

@@ -19,6 +19,7 @@ The contracts under test (see ``repro.harness.experiments.run_campaign``):
   schedules byte-identical across repeat runs.
 """
 
+import io
 import json
 
 import pytest
@@ -43,6 +44,7 @@ from repro.harness.plans import (
     run_plan,
 )
 from repro.jvm.collectors import COLLECTOR_NAMES
+from repro.resilience import CellExecutionError, Supervisor
 from repro.service import JobQueue, JobSpec, SweepService
 
 QUICK = RunConfig(invocations=2, duration_scale=0.05)
@@ -116,6 +118,34 @@ class TestCampaignEntryPoint:
         )
         assert len(calls) == 1 and calls[0]["supervisor"] is None
         assert not engine.supervised and not campaign.empty
+
+    def test_supervisor_is_scoped_to_one_run(self):
+        spec = registry.workload("lusearch")
+        engine = ExecutionEngine()
+        # A frozen clock and a spent budget: the first cell has no cost
+        # evidence and runs, the second is refused.
+        spent = Supervisor(budget_s=1e-9, clock=lambda: 0.0, stream=io.StringIO())
+        first = run_campaign("lbo", spec, ("G1",), (2.0,), QUICK, engine, supervisor=spent)
+        assert [h.reason for h in first.holes] == ["budget"]
+        later = run_campaign("lbo", spec, ("G1",), (2.0,), QUICK, engine)
+        assert later.result is not None and not later.holes
+        assert not engine.supervised
+
+        draining = Supervisor(stream=io.StringIO())
+        draining.request_drain("test")
+        with pytest.raises(CellExecutionError):
+            run_campaign(
+                "lbo", spec, ("G1",), (2.0,), QUICK, engine,
+                supervisor=draining, strict=True,
+            )
+        assert not engine.supervised
+
+        # An engine built with a supervisor keeps it across runs that
+        # pass it again, as the CLI does.
+        own = Supervisor(stream=io.StringIO())
+        supervised = ExecutionEngine(supervisor=own)
+        run_campaign("lbo", spec, ("G1",), (2.0,), QUICK, supervised, supervisor=own)
+        assert supervised.supervised and supervised.supervisor is own
 
 
 class TestMinHeapCampaign:

@@ -1,7 +1,16 @@
 """The ``chopin`` command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
+import repro.jvm.batch as batch_mod
 from repro.harness.cli import build_parser, main
 from repro.resilience import Supervisor
 
@@ -193,6 +202,104 @@ class TestSupervisedLbo:
         captured = capsys.readouterr()
         assert "lusearch" in captured.out
         assert "incomplete" not in captured.err
+
+
+class TestResumeThroughCache:
+    """Resuming a sweep is rerunning it with the same ``--cache-dir``;
+    ``--resume``, ``CHOPIN_RESUME`` and ``doctor --journal`` are
+    deprecated no-ops that only print one notice on stderr."""
+
+    def test_killed_sweep_reruns_from_its_cache(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("CHOPIN_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "repro.harness.cli", "lbo", "lusearch",
+                "--invocations", "1", "--scale", "0.05"]
+        cache = tmp_path / "cache"
+        resumable = argv + ["--cache-dir", str(cache)]
+        first = subprocess.Popen(
+            resumable, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        )
+        deadline = time.monotonic() + 120
+        while len(list(cache.glob("??/*.pkl"))) < 10:
+            assert first.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        first.send_signal(signal.SIGKILL)
+        first.wait()
+        cached = len(list(cache.glob("??/*.pkl")))
+        assert 10 <= cached < 40, "the kill must land mid-sweep"
+
+        rerun = subprocess.run(
+            resumable + ["--cell-progress"], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        cells = [line for line in rerun.stderr.splitlines() if " inv" in line]
+        assert len(cells) == 40
+        # Exactly the cells the killed run finished come from the cache;
+        # only the rest are simulated.
+        assert sum(line.endswith(": cached") for line in cells) == cached
+        assert len(list(cache.glob("??/*.pkl"))) == 40
+        clean = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert rerun.stdout == clean.stdout
+
+    def test_resume_flag_keeps_batch_rows(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = batch_mod.simulate_batch
+        monkeypatch.setattr(
+            batch_mod, "simulate_batch", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        argv = ["lbo", "fop", "--batch", "--resume", str(tmp_path / "j.jsonl"),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--invocations", "1", "--scale", "0.02"]
+        assert main(argv) == 0
+        assert calls, "a --resume run must still batch"
+        assert not (tmp_path / "j.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lbo", "fop"],
+            ["latency", "cassandra"],
+            ["minheap", "lusearch", "--collector", "G1"],
+        ],
+        ids=["lbo", "latency", "minheap"],
+    )
+    def test_deprecated_resume_changes_no_output(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        argv = argv + ["--invocations", "1", "--scale", "0.02"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert "deprecated" not in plain.err
+        assert main(argv + ["--resume", str(tmp_path / "j.jsonl")]) == 0
+        flagged = capsys.readouterr()
+        assert flagged.out == plain.out
+        notices = [line for line in flagged.err.splitlines() if "deprecated" in line]
+        assert notices == [
+            "chopin: --resume is deprecated and ignored; completed cells are "
+            "in the result cache, so rerunning with the same --cache-dir "
+            "resumes a sweep"
+        ]
+        monkeypatch.setenv("CHOPIN_RESUME", str(tmp_path / "j.jsonl"))
+        assert main(argv) == 0
+        from_env = capsys.readouterr()
+        assert from_env.out == plain.out
+        assert [line for line in from_env.err.splitlines() if "deprecated" in line] == [
+            notices[0].replace("--resume", "CHOPIN_RESUME", 1)
+        ]
+        assert not (tmp_path / "j.jsonl").exists()
+
+    def test_doctor_journal_flag_is_a_noop(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text('{"key": "torn')
+        assert main(["doctor", "--cache-dir", str(cache)]) == 0
+        plain = capsys.readouterr()
+        assert main(["doctor", "--cache-dir", str(cache), "--journal", str(journal)]) == 0
+        flagged = capsys.readouterr()
+        assert flagged.out == plain.out
+        assert "--journal is deprecated" in flagged.err
+        assert journal.read_text() == '{"key": "torn'
 
 
 class TestSupervisedCampaignVerbs:

@@ -34,6 +34,7 @@ from repro.resilience import (
     compact_jobs_journal,
     scan_jobs_journal,
 )
+from repro.resilience.journal import segments as journal_segments
 from repro.service import (
     JobQueue,
     JobSpec,
@@ -247,7 +248,7 @@ class TestJournalRotation:
         finished = [queue.claim(timeout=0.1) for _ in range(3)]
         for job in finished:
             queue.finish(job.id, "DONE", cells=4, stats={"executed": 4})
-        assert queue._segments(), "256-byte threshold must have rotated"
+        assert journal_segments(queue.path), "256-byte threshold must have rotated"
         replayed = JobQueue(path, rotate_bytes=256)
         for job in jobs:
             original = queue.get(job.id)
@@ -264,7 +265,7 @@ class TestJournalRotation:
         path = tmp_path / "jobs.jsonl"
         queue = JobQueue(path, rotate_bytes=200)
         jobs = [queue.submit(_spec()) for _ in range(4)]
-        segments = queue._segments()
+        segments = journal_segments(queue.path)
         assert segments
         # Tear a line in the middle of a sealed segment (disk rot).
         lines = segments[0].read_text().splitlines()
