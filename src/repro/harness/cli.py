@@ -115,13 +115,11 @@ def _rate(text: str) -> float:
 
 
 class _Deprecated(argparse.Action):
-    """A retired flag, accepted for one more round: its value is stored
-    as before, it does nothing, and passing it prints one deprecation
-    line on stderr."""
+    """A retired flag, accepted for one more round: it does nothing but
+    print one deprecation line on stderr."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         warn_deprecated(option_string)
-        setattr(namespace, self.dest, values)
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
@@ -174,14 +172,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         type=_positive_float,
         default=None,
         help="per-cell wall-clock timeout in seconds (hung cells are retried)",
-    )
-    parser.add_argument(
-        "--resume",
-        action=_Deprecated,
-        default=None,
-        metavar="JOURNAL",
-        help="deprecated and ignored: rerun with the same --cache-dir to "
-        "resume an interrupted sweep",
     )
     parser.add_argument(
         "--chaos-rate",
@@ -778,7 +768,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch=args.batch,
         serve_host=args.host,
         serve_port=args.port,
-        cache_shards=args.cache_shards,
         lease_s=args.lease,
         max_requeues=args.max_requeues,
         queue_high_water=args.queue_high_water,
@@ -1124,13 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are quarantined, never deleted)",
     )
     p_doc.add_argument(
-        "--journal",
-        action=_Deprecated,
-        default=None,
-        help="deprecated and ignored: sweeps resume from the result cache, "
-        "which --cache-dir already heals",
-    )
-    p_doc.add_argument(
         "--jobs-journal",
         default=None,
         metavar="PATH",
@@ -1211,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         required=True,
         help="directory for the job journal and (unless --cache-dir) the "
-        "shared sharded result cache; a restarted service resumes its "
+        "shared result cache; a restarted service resumes its "
         "queue from here",
     )
     p_serve.add_argument(
@@ -1234,11 +1216,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-shards",
-        type=_positive_int,
+        action=_Deprecated,
         default=None,
         metavar="N",
-        help="fan-out of the shared result cache: 1, 16, 256, or 4096 "
-        "(default: 256; env: CHOPIN_CACHE_SHARDS)",
+        help="deprecated and ignored, like CHOPIN_CACHE_SHARDS: the result "
+        "cache has one layout",
     )
     p_serve.add_argument(
         "--lease",

@@ -17,7 +17,7 @@ default — the CLI, the env-driven benchmark harness, and library callers
 all resolve the same knob the same way.
 
 Recognised environment variables (one per :class:`HarnessConfig` field,
-apart from the deprecated ``CHOPIN_RESUME``):
+apart from the deprecated ``CHOPIN_CACHE_SHARDS``):
 
 ====================== ==========================================================
 ``CHOPIN_JOBS``        worker processes for sweep cells (default 1: in-process)
@@ -26,7 +26,6 @@ apart from the deprecated ``CHOPIN_RESUME``):
 ``CHOPIN_PROGRESS``    log per-cell progress to stderr (any non-empty value)
 ``CHOPIN_RETRIES``     retry budget per cell for transient failures
 ``CHOPIN_CELL_TIMEOUT`` per-cell wall-clock timeout in seconds
-``CHOPIN_RESUME``      deprecated and ignored: rerun with the same ``CHOPIN_CACHE_DIR``
 ``CHOPIN_CHAOS_RATE``  seeded fault-injection rate in [0, 1]
 ``CHOPIN_CHAOS_SEED``  seed for deterministic fault injection
 ``CHOPIN_BUDGET``      wall-clock deadline budget in seconds (supervisor)
@@ -35,7 +34,7 @@ apart from the deprecated ``CHOPIN_RESUME``):
 ``CHOPIN_BATCH``       vectorized batch execution: ``1``/``true`` or ``0``/``false``
 ``CHOPIN_SERVE_HOST``  sweep-service bind address (default ``127.0.0.1``)
 ``CHOPIN_SERVE_PORT``  sweep-service TCP port (default 8642; 0 = ephemeral)
-``CHOPIN_CACHE_SHARDS`` result-cache fan-out: 1, 16, 256 (default), or 4096
+``CHOPIN_CACHE_SHARDS`` deprecated and ignored: the result cache has one layout
 ``CHOPIN_LEASE_S``     sweep-service job lease in seconds (default 60)
 ``CHOPIN_MAX_REQUEUES`` lease-expiry requeues before DEAD_LETTER (default 3)
 ``CHOPIN_QUEUE_HIGH_WATER`` queue depth that turns submits into 503 (0 = off)
@@ -90,10 +89,6 @@ class HarnessConfig:
     #: ``chopin submit`` default URL).  Port 0 binds ephemerally.
     serve_host: str = "127.0.0.1"
     serve_port: int = 8642
-    #: Result-cache fan-out directories (hex-prefix sharding): one of
-    #: :data:`repro.service.shards.SHARD_CHOICES`.  256 is the legacy
-    #: two-hex-char layout, so existing caches keep working unchanged.
-    cache_shards: int = 256
     #: Sweep-service lease machinery: a RUNNING job's worker must renew
     #: its lease every ``lease_s`` seconds (keep it above the slowest
     #: single cell — renewals happen per completed cell); after
@@ -157,21 +152,21 @@ def _env_bool(environ, name: str, default: bool, example: str) -> bool:
 
 
 def warn_deprecated(name: str) -> None:
-    """Print the one stderr line for a retired resume knob (``--resume``,
-    ``CHOPIN_RESUME``, ``chopin doctor --journal``).  Each is still
-    accepted for one round, and does nothing."""
+    """Print the one stderr line for a retired cache-layout knob
+    (``chopin serve --cache-shards``, ``CHOPIN_CACHE_SHARDS``).  Each is
+    still accepted for one round, and does nothing."""
     print(
-        f"chopin: {name} is deprecated and ignored; completed cells are in "
-        f"the result cache, so rerunning with the same --cache-dir resumes "
-        f"a sweep",
+        f"chopin: {name} is deprecated and ignored; the result cache has one "
+        f"layout, <cache-dir>/<key[:2]>/<key>.pkl, and chopin doctor "
+        f"quarantines entries found anywhere else",
         file=sys.stderr,
     )
 
 
 def _from_environ(environ: Mapping[str, str]) -> HarnessConfig:
     """The environment layer: every ``CHOPIN_*`` variable, validated."""
-    if environ.get("CHOPIN_RESUME"):
-        warn_deprecated("CHOPIN_RESUME")
+    if environ.get("CHOPIN_CACHE_SHARDS"):
+        warn_deprecated("CHOPIN_CACHE_SHARDS")
     fidelity = environ.get("CHOPIN_FIDELITY") or None
     if fidelity == "auto":
         fidelity = None
@@ -198,7 +193,6 @@ def _from_environ(environ: Mapping[str, str]) -> HarnessConfig:
         batch=_env_bool(environ, "CHOPIN_BATCH", False, "1"),
         serve_host=environ.get("CHOPIN_SERVE_HOST") or "127.0.0.1",
         serve_port=_env_int(environ, "CHOPIN_SERVE_PORT", 8642, "8642"),
-        cache_shards=_env_int(environ, "CHOPIN_CACHE_SHARDS", 256, "256"),
         lease_s=_env_float(environ, "CHOPIN_LEASE_S", 60.0, "60"),
         max_requeues=_env_int(environ, "CHOPIN_MAX_REQUEUES", 3, "3"),
         queue_high_water=_env_int(environ, "CHOPIN_QUEUE_HIGH_WATER", 0, "64"),
@@ -237,12 +231,6 @@ def _validate(config: HarnessConfig) -> HarnessConfig:
         raise ValueError(
             f"CHOPIN_SERVE_PORT must be a TCP port in [0, 65535], got "
             f"{config.serve_port!r} (e.g. CHOPIN_SERVE_PORT=8642)"
-        )
-    if config.cache_shards not in (1, 16, 256, 4096):
-        raise ValueError(
-            f"CHOPIN_CACHE_SHARDS must be 1, 16, 256, or 4096 (powers of 16 "
-            f"— hex-prefix fan-out), got {config.cache_shards!r} "
-            f"(e.g. CHOPIN_CACHE_SHARDS=256)"
         )
     if config.lease_s is None or config.lease_s <= 0:
         raise ValueError(
@@ -304,14 +292,12 @@ def engine_from_config(config: HarnessConfig, supervisor=None, cache=None):
     sweep service passes one shared
     :class:`~repro.service.shards.ShardedResultCache` so every worker
     engine is a tenant of the same store.  When omitted and a cache
-    directory is configured, the cache is built sharded per
-    ``cache_shards`` (with the hot set disabled so cache-read semantics —
-    including corrupt-entry detection on every disk read — match the
-    legacy per-engine :class:`~repro.harness.engine.ResultCache` exactly).
+    directory is configured, the engine gets a plain
+    :class:`~repro.harness.engine.ResultCache` over it.
     """
     # Imported here: engine.py's engine_from_env delegates to this module,
     # so the top-level import must flow config <- engine, not both ways.
-    from repro.harness.engine import ExecutionEngine, LogSink
+    from repro.harness.engine import ExecutionEngine, LogSink, ResultCache
     from repro.resilience import FaultInjector, FaultSpec, RetryPolicy, Supervisor
 
     retry = (
@@ -331,11 +317,7 @@ def engine_from_config(config: HarnessConfig, supervisor=None, cache=None):
             budget_s=config.budget_s, breaker_threshold=config.breaker_threshold
         )
     if cache is None and config.effective_cache_dir is not None:
-        from repro.service.shards import ShardedResultCache
-
-        cache = ShardedResultCache(
-            config.effective_cache_dir, shards=config.cache_shards, hot_set=0
-        )
+        cache = ResultCache(config.effective_cache_dir)
     return ExecutionEngine(
         jobs=max(1, config.jobs),
         cache=cache,

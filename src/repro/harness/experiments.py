@@ -140,8 +140,8 @@ class Campaign:
     """One campaign's outcome, whatever its kind — the common shape the
     service worker and the one-shot CLI both consume.
 
-    ``result`` is kind-shaped: a :class:`SuiteLbo` (or ``None`` when a
-    benchmark kept no complete group) for ``kind="lbo"``, a list of
+    ``result`` is kind-shaped: a :class:`SuiteLbo` (or ``None`` when no
+    benchmark kept a complete group) for ``kind="lbo"``, a list of
     :class:`LatencyRun` for ``kind="latency"``, a list of
     :class:`~repro.core.minheap.MinHeapResult` for ``kind="minheap"``.
     ``cells`` counts the cells the campaign touched (for dynamic

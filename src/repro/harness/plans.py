@@ -313,11 +313,13 @@ def run_plan(
     The return value grows a trailing list of
     :class:`~repro.harness.engine.Hole` — ``(assembled, holes)``, or
     ``(assembled, holes, stats)`` with ``return_stats`` — so callers see
-    what is missing.  An LBO plan in which some benchmark kept no
-    complete group then assembles to ``None`` instead of raising
-    :class:`OutOfMemoryError`.  ``strict`` overrides ``partial``: the
-    first failed or refused cell raises at once, as does an LBO plan
-    with nothing to assemble, and the holes list stays empty.
+    what is missing.  An LBO plan keeps every benchmark that has a
+    complete group, fills its suite geomeans only when every benchmark
+    assembled, and assembles to ``None`` only when none did, where
+    non-partial mode raises :class:`OutOfMemoryError`.  ``strict``
+    overrides ``partial``: the first failed or refused cell raises at
+    once, as does an LBO benchmark with nothing to assemble, and the
+    holes list stays empty.
 
     An engine with an enabled flight recorder upgrades the plan to full
     fidelity (the trace nests per-event GC slices, which aggregate
@@ -352,12 +354,7 @@ def run_plan(
             if plan.kind == "latency":
                 assembled = _assemble_latency(plan, results, strict)
             else:
-                try:
-                    assembled = _assemble_lbo(plan, results)
-                except OutOfMemoryError:
-                    if strict or not partial:
-                        raise
-                    assembled = None
+                assembled = _assemble_lbo(plan, results, partial and not strict)
     finally:
         if supervisor is not None:
             engine.attach_supervisor(previous)
@@ -396,7 +393,16 @@ def _has_hole(group: Sequence[Optional[CellResult]]) -> bool:
     return any(result is None for result in group)
 
 
-def _assemble_lbo(plan: ExperimentPlan, results: Sequence[CellResult]) -> SuiteLbo:
+def _assemble_lbo(
+    plan: ExperimentPlan, results: Sequence[CellResult], partial: bool
+) -> Optional[SuiteLbo]:
+    """Assemble each benchmark's curves from its complete groups.
+
+    A benchmark with no complete group raises :class:`OutOfMemoryError`,
+    unless ``partial``: then it is left out, the suite geomeans stay
+    empty (a geomean point needs every benchmark), and the result is
+    ``None`` only when no benchmark assembled.
+    """
     per_group = plan.config.invocations
     per_spec = len(plan.collectors) * len(plan.multiples) * per_group
     per_benchmark: List[LboCurves] = []
@@ -411,9 +417,14 @@ def _assemble_lbo(plan: ExperimentPlan, results: Sequence[CellResult]) -> SuiteL
                     table[(collector, multiple)] = [
                         costs_from_iteration(r.timed) for r in group
                     ]
-        if not table:
+        if table:
+            per_benchmark.append(lbo_curves(spec.name, table))
+        elif not partial:
             raise OutOfMemoryError(f"{spec.name}: no collector completed any heap size")
-        per_benchmark.append(lbo_curves(spec.name, table))
+    if len(per_benchmark) < len(plan.specs):  # partial mode left some out
+        if not per_benchmark:
+            return None
+        return SuiteLbo(per_benchmark=per_benchmark, geomean_wall={}, geomean_task={})
     return SuiteLbo(
         per_benchmark=per_benchmark,
         geomean_wall=geomean_curves(per_benchmark, "wall"),

@@ -13,7 +13,8 @@ noise.  This module repairs instead of tolerating:
   deleted — rot is evidence) with a per-kind breakdown: ``corrupt``
   (unreadable or not a result), ``stale`` (a result object missing
   fields the current schema requires), ``misplaced`` (a valid result
-  filed under the wrong key — a torn rename or a copied cache);
+  filed under the wrong key — a torn rename or a copied cache — or
+  outside the cache's one layout);
 - :func:`scan_jobs_journal` and :func:`compact_jobs_journal` triage and
   compact a stopped service's job journal through the queue's own replay
   fold (:func:`repro.resilience.journal.fold_jobs`), the compaction
@@ -125,8 +126,9 @@ def _quarantine(path: Path, quarantine_dir: Path) -> bool:
     return True
 
 
-#: Every on-disk layout a cache root may carry: flat (``shards=1``) plus
-#: the one/two/three-hex-digit fan-outs.  The glob set is disjoint by
+#: Where a cache root may hold entries: the cache's own two-hex-digit
+#: fan-out plus the flat, one- and three-hex-digit layouts that retired
+#: ``--cache-shards`` values wrote.  The glob set is disjoint by
 #: construction — an entry sits at exactly one depth, and the quarantine
 #: directory's leading underscore can never match a hex-prefix pattern —
 #: so a union over these never counts a file twice.
@@ -136,17 +138,21 @@ _LAYOUT_GLOBS = ("*.pkl", "?/*.pkl", "??/*.pkl", "???/*.pkl")
 def scan_cache(root: Union[str, Path], quarantine: bool = True) -> CacheScan:
     """Scan a result-cache directory and quarantine unhealthy entries.
 
-    Both cache generations are scanned in one pass: the legacy flat and
-    two-hex-digit :class:`~repro.harness.engine.ResultCache` layout and
-    every :class:`~repro.service.shards.ShardedResultCache` fan-out
-    (``<root>/<key[:width]>/<key>.pkl`` for widths 0–3).  Anything that
+    An entry is healthy only where
+    :meth:`~repro.harness.engine.ResultCache.path_for` puts it
+    (``<root>/<key[:2]>/<key>.pkl``).  The scan also walks the flat,
+    one- and three-hex-digit layouts that retired ``--cache-shards``
+    values wrote, because no cache reads those any more.  Anything that
     fails to load, predates the current schema, or is filed under the
-    wrong key — including a valid result sitting in a shard directory
-    whose hex prefix disagrees with its key — is moved to
-    ``<root>/_quarantine/`` when ``quarantine`` is set (pass ``False``
-    for a dry run).
+    wrong key or in the wrong place — a valid result in a retired
+    layout, or in a shard directory whose hex prefix disagrees with its
+    key — is moved to ``<root>/_quarantine/`` when ``quarantine`` is set
+    (pass ``False`` for a dry run).
     """
+    from repro.harness.engine import ResultCache
+
     root = Path(root)
+    layout = ResultCache(root)
     scan = CacheScan(quarantine_dir=root / QUARANTINE_DIR)
     if not root.is_dir():
         return scan
@@ -154,10 +160,8 @@ def scan_cache(root: Union[str, Path], quarantine: bool = True) -> CacheScan:
     for path in paths:
         scan.scanned += 1
         kind = _diagnose(path, path.stem)
-        if kind is None and path.parent != root and not path.stem.startswith(
-            path.parent.name
-        ):
-            kind = "misplaced"  # healthy payload, wrong shard directory
+        if kind is None and path != layout.path_for(path.stem):
+            kind = "misplaced"  # healthy payload, but no cache reads it here
         if kind is None:
             scan.healthy += 1
             continue

@@ -13,13 +13,10 @@ artefacts land in a cache shared by every tenant.
 
 Four modules, one per concern:
 
-- :mod:`.shards` — :class:`ShardedResultCache`: the multi-tenant
-  upgrade of the content-addressed result cache.  Configurable
-  hex-prefix fan-out directories, atomic rename writes, a bounded
-  in-memory *hot set* (read-through) and an optional write-behind
-  buffer, thread-safe so N workers and N clients share one cache
-  without lock contention — plus transparent read-through of legacy
-  flat entries so existing caches migrate in place;
+- :mod:`.shards` — :class:`ShardedResultCache`: the content-addressed
+  :class:`~repro.harness.engine.ResultCache`, same on-disk layout,
+  behind a bounded, thread-safe in-memory *hot set*, so N workers share
+  one cache without lock contention;
 - :mod:`.jobqueue` — :class:`JobQueue`: a priority-FIFO async job queue
   with a per-job state machine (``QUEUED → RUNNING → DONE / FAILED /
   CANCELLED / PARTIAL``) persisted as an append-only JSONL journal
@@ -55,7 +52,7 @@ from repro.service.jobqueue import (
     JobStateError,
 )
 from repro.service.server import SweepService, service_from_config
-from repro.service.shards import SHARD_CHOICES, ShardedResultCache
+from repro.service.shards import ShardedResultCache
 
 __all__ = [
     "JOB_STATES",
@@ -63,7 +60,6 @@ __all__ = [
     "JobQueue",
     "JobSpec",
     "JobStateError",
-    "SHARD_CHOICES",
     "ServiceChaosDrill",
     "ServiceClient",
     "ServiceError",

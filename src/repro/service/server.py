@@ -301,7 +301,7 @@ class ServiceWorker:
     """One worker thread's execution half: claim → compile → run → record.
 
     Split out of :class:`SweepService` (and given its own engine — the
-    shared state between workers is the sharded cache plus the
+    shared state between workers is the result cache plus the
     service's thread-safe :class:`CostModel`, nothing else) so tests
     can drive :meth:`execute` synchronously, e.g. cancelling a job from
     a progress callback halfway through its sweep.
@@ -379,9 +379,6 @@ class ServiceWorker:
             return
         finally:
             self.engine.progress = previous_sink
-            flushed = getattr(self.engine.cache, "flush", None)
-            if flushed is not None:
-                flushed()  # job boundary: drain any write-behind buffer
         holes = [_hole_payload(h) for h in campaign.holes]
         result = None
         if not campaign.empty:
@@ -420,7 +417,7 @@ class SweepService:
 
     ``state_dir`` holds the service's durable state: the job journal
     (``jobs.jsonl``) and, unless the config names a cache directory, the
-    shared sharded result cache (``cache/``).  ``port=0`` binds an
+    shared result cache (``cache/``).  ``port=0`` binds an
     ephemeral port (read :attr:`port` after :meth:`start` — how the
     tests run hermetically).  ``workers`` sizes the execution pool; the
     default 1 serializes jobs (see the module docstring for why that is
@@ -449,13 +446,7 @@ class SweepService:
         self.workers = workers
         self.config = config if config is not None else HarnessConfig()
         cache_root = self.config.effective_cache_dir or self.state_dir / "cache"
-        self.cache = (
-            cache
-            if cache is not None
-            else ShardedResultCache(
-                cache_root, shards=getattr(self.config, "cache_shards", 256)
-            )
-        )
+        self.cache = cache if cache is not None else ShardedResultCache(cache_root)
         self.injector = injector if injector is not None else NullServiceInjector()
         self.queue = JobQueue(
             self.state_dir / "jobs.jsonl",
@@ -807,9 +798,7 @@ class SweepService:
             },
             "cache": {
                 "corrupt": self.cache.corrupt,
-                "hot_hits": getattr(self.cache, "hot_hits", 0),
-                "legacy_hits": getattr(self.cache, "legacy_hits", 0),
-                "shards": getattr(self.cache, "shards", 256),
+                "hot_hits": self.cache.hot_hits,
             },
         }
 
@@ -941,8 +930,7 @@ def service_from_config(
 ) -> SweepService:
     """Build a :class:`SweepService` from a resolved
     :class:`~repro.harness.config.HarnessConfig` — host/port from
-    ``CHOPIN_SERVE_HOST``/``CHOPIN_SERVE_PORT`` (or their flags), the
-    shared cache sharded per ``CHOPIN_CACHE_SHARDS``."""
+    ``CHOPIN_SERVE_HOST``/``CHOPIN_SERVE_PORT`` (or their flags)."""
     return SweepService(
         state_dir,
         host=config.serve_host,

@@ -147,6 +147,33 @@ class TestCampaignEntryPoint:
         run_campaign("lbo", spec, ("G1",), (2.0,), QUICK, supervised, supervisor=own)
         assert supervised.supervised and supervised.supervisor is own
 
+    def test_partial_lbo_keeps_the_benchmarks_that_finished(self):
+        class RefuseFop(Supervisor):
+            def admit(self, workload, collector):
+                if workload == "fop":
+                    return ("budget", "refused by the test")
+                return super().admit(workload, collector)
+
+        config = RunConfig(invocations=1, duration_scale=0.05)
+        lusearch, fop = registry.workload("lusearch"), registry.workload("fop")
+        campaign = run_campaign(
+            "lbo", [lusearch, fop], ("G1",), (2.0,), config, ExecutionEngine(),
+            supervisor=RefuseFop(stream=io.StringIO()),
+        )
+        assert not campaign.empty
+        assert [h.cell.spec.name for h in campaign.holes] == ["fop"]
+        assert [c.benchmark for c in campaign.result.per_benchmark] == ["lusearch"]
+        # A suite geomean needs every benchmark, so a partial suite has none.
+        assert campaign.result.geomean_wall == {} == campaign.result.geomean_task
+        alone = run_campaign("lbo", lusearch, ("G1",), (2.0,), config, ExecutionEngine())
+        assert campaign.rendered() == alone.rendered()
+
+        nothing = run_campaign(
+            "lbo", fop, ("G1",), (2.0,), config, ExecutionEngine(),
+            supervisor=RefuseFop(stream=io.StringIO()),
+        )
+        assert nothing.result is None and nothing.empty
+
 
 class TestMinHeapCampaign:
     def test_engine_search_matches_legacy_all_pairs(self):

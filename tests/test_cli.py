@@ -12,6 +12,7 @@ import pytest
 import repro
 import repro.jvm.batch as batch_mod
 from repro.harness.cli import build_parser, main
+from repro.harness.config import harness_config
 from repro.resilience import Supervisor
 
 
@@ -114,11 +115,10 @@ class TestArgumentValidation:
     def test_valid_resilience_flags_accepted(self):
         args = build_parser().parse_args(
             ["lbo", "fop", "--retries", "3", "--cell-timeout", "30",
-             "--chaos-rate", "0.3", "--chaos-seed", "7", "--resume", "j.jsonl"]
+             "--chaos-rate", "0.3", "--chaos-seed", "7"]
         )
         assert args.retries == 3 and args.cell_timeout == 30.0
         assert args.chaos_rate == 0.3 and args.chaos_seed == 7
-        assert args.resume == "j.jsonl"
 
 
 class TestChaosCommand:
@@ -178,7 +178,6 @@ class TestSupervisedLbo:
     def test_tiny_budget_exits_cleanly_with_holes(self, capsys, tmp_path):
         argv = ["lbo", "lusearch", "--budget", "0.000001",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--resume", str(tmp_path / "journal.jsonl"),
                 "--invocations", "1", "--scale", "0.05"]
         assert main(argv) == 0
         err = capsys.readouterr().err
@@ -186,7 +185,6 @@ class TestSupervisedLbo:
 
     def test_budget_then_resume_completes(self, capsys, tmp_path):
         cache = ["--cache-dir", str(tmp_path / "cache"),
-                 "--resume", str(tmp_path / "journal.jsonl"),
                  "--invocations", "1", "--scale", "0.05"]
         assert main(["lbo", "lusearch", "--budget", "0.000001"] + cache) == 0
         capsys.readouterr()
@@ -206,8 +204,8 @@ class TestSupervisedLbo:
 
 class TestResumeThroughCache:
     """Resuming a sweep is rerunning it with the same ``--cache-dir``;
-    ``--resume``, ``CHOPIN_RESUME`` and ``doctor --journal`` are
-    deprecated no-ops that only print one notice on stderr."""
+    the retired ``--resume`` and ``doctor --journal`` flags are usage
+    errors."""
 
     def test_killed_sweep_reruns_from_its_cache(self, tmp_path):
         env = {k: v for k, v in os.environ.items() if not k.startswith("CHOPIN_")}
@@ -241,65 +239,33 @@ class TestResumeThroughCache:
         clean = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert rerun.stdout == clean.stdout
 
-    def test_resume_flag_keeps_batch_rows(self, capsys, tmp_path, monkeypatch):
+    def test_cache_dir_run_keeps_batch_rows(self, tmp_path, monkeypatch):
         calls = []
         real = batch_mod.simulate_batch
         monkeypatch.setattr(
             batch_mod, "simulate_batch", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        argv = ["lbo", "fop", "--batch", "--resume", str(tmp_path / "j.jsonl"),
-                "--cache-dir", str(tmp_path / "cache"),
+        argv = ["lbo", "fop", "--batch", "--cache-dir", str(tmp_path / "cache"),
                 "--invocations", "1", "--scale", "0.02"]
         assert main(argv) == 0
-        assert calls, "a --resume run must still batch"
-        assert not (tmp_path / "j.jsonl").exists()
+        assert calls, "a resumable (--cache-dir) run must still batch"
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["lbo", "fop"],
-            ["latency", "cassandra"],
-            ["minheap", "lusearch", "--collector", "G1"],
-        ],
-        ids=["lbo", "latency", "minheap"],
+        [["lbo", "fop", "--resume", "j.jsonl"], ["doctor", "--cache-dir", "c", "--journal", "j"]],
+        ids=["resume", "doctor-journal"],
     )
-    def test_deprecated_resume_changes_no_output(
-        self, capsys, tmp_path, monkeypatch, argv
-    ):
-        argv = argv + ["--invocations", "1", "--scale", "0.02"]
-        assert main(argv) == 0
-        plain = capsys.readouterr()
-        assert "deprecated" not in plain.err
-        assert main(argv + ["--resume", str(tmp_path / "j.jsonl")]) == 0
-        flagged = capsys.readouterr()
-        assert flagged.out == plain.out
-        notices = [line for line in flagged.err.splitlines() if "deprecated" in line]
-        assert notices == [
-            "chopin: --resume is deprecated and ignored; completed cells are "
-            "in the result cache, so rerunning with the same --cache-dir "
-            "resumes a sweep"
-        ]
-        monkeypatch.setenv("CHOPIN_RESUME", str(tmp_path / "j.jsonl"))
-        assert main(argv) == 0
-        from_env = capsys.readouterr()
-        assert from_env.out == plain.out
-        assert [line for line in from_env.err.splitlines() if "deprecated" in line] == [
-            notices[0].replace("--resume", "CHOPIN_RESUME", 1)
-        ]
-        assert not (tmp_path / "j.jsonl").exists()
+    def test_retired_resume_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_doctor_journal_flag_is_a_noop(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        journal = tmp_path / "journal.jsonl"
-        journal.write_text('{"key": "torn')
-        assert main(["doctor", "--cache-dir", str(cache)]) == 0
-        plain = capsys.readouterr()
-        assert main(["doctor", "--cache-dir", str(cache), "--journal", str(journal)]) == 0
-        flagged = capsys.readouterr()
-        assert flagged.out == plain.out
-        assert "--journal is deprecated" in flagged.err
-        assert journal.read_text() == '{"key": "torn'
+    def test_chopin_resume_is_ignored(self, capsys):
+        assert harness_config(environ={"CHOPIN_RESUME": "j.jsonl"}) == harness_config(
+            environ={}
+        )
+        assert capsys.readouterr().err == ""
 
 
 class TestSupervisedCampaignVerbs:
@@ -335,15 +301,13 @@ class TestSupervisedCampaignVerbs:
 class TestDoctorCommand:
     def test_doctor_heals_torn_cache(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
-        journal = str(tmp_path / "journal.jsonl")
         base = ["--invocations", "1", "--scale", "0.05"]
-        assert main(["lbo", "lusearch", "--cache-dir", cache,
-                     "--resume", journal] + base) == 0
+        assert main(["lbo", "lusearch", "--cache-dir", cache] + base) == 0
         capsys.readouterr()
         # Tear one entry the way a crashed writer would.
         victim = next((tmp_path / "cache").glob("??/*.pkl"))
         victim.write_bytes(victim.read_bytes()[: 40])
-        assert main(["doctor", "--cache-dir", cache, "--journal", journal]) == 0
+        assert main(["doctor", "--cache-dir", cache]) == 0
         captured = capsys.readouterr()
         assert "1 corrupt" in captured.out
         assert "quarantined 1" in captured.out

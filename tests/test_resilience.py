@@ -538,23 +538,18 @@ class TestEngineFromEnv:
         assert "CHOPIN_CHAOS_RATE" in message and "1.5" in message
         assert "CHOPIN_CHAOS_RATE=0.1" in message  # the accepted format
 
-    def test_resilience_vars_build_collaborators(self, tmp_path, capsys):
-        journal = tmp_path / "j.jsonl"
+    def test_resilience_vars_build_collaborators(self):
         engine = engine_from_env(
             {
                 "CHOPIN_RETRIES": "2",
                 "CHOPIN_CELL_TIMEOUT": "30",
                 "CHOPIN_CHAOS_RATE": "0.2",
                 "CHOPIN_CHAOS_SEED": "9",
-                "CHOPIN_RESUME": str(journal),
             }
         )
         assert engine.resilient
         assert engine.retry.retries == 2 and engine.retry.cell_timeout_s == 30.0
         assert engine.injector.enabled and engine.injector.spec.seed == 9
-        # CHOPIN_RESUME is a deprecated no-op: one notice, no journal.
-        assert "CHOPIN_RESUME is deprecated" in capsys.readouterr().err
-        assert not journal.exists()
 
     def test_defaults_stay_plain(self):
         engine = engine_from_env({})

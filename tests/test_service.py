@@ -16,13 +16,15 @@ The contracts under test (see ``repro.service``):
 
 import hashlib
 import json
+import pickle
+import sys
 import threading
 
 import pytest
 
 from repro import RunConfig, registry
 from repro.harness.cli import main as cli_main
-from repro.harness.config import harness_config
+from repro.harness.config import engine_from_config, harness_config
 from repro.harness.engine import (
     Cell,
     ExecutionEngine,
@@ -41,7 +43,7 @@ from repro.service import (
     ShardedResultCache,
     SweepService,
 )
-from repro.service.shards import SHARD_CHOICES
+from repro.service.shards import HOT_SET
 
 QUICK = RunConfig(invocations=1, duration_scale=0.05)
 
@@ -81,51 +83,45 @@ def client(service):
 
 class TestShardedCache:
     def test_fanout_widths(self, tmp_path):
+        # One fan-out, the engine's: the width is no longer a parameter.
         key = _key(0)
-        for shards, width in ((1, 0), (16, 1), (256, 2), (4096, 3)):
-            cache = ShardedResultCache(tmp_path / str(shards), shards=shards)
-            path = cache.path_for(key)
-            if width == 0:
-                assert path.parent == cache.root
-            else:
-                assert path.parent.name == key[:width]
-            assert path.name == f"{key}.pkl"
+        cache = ShardedResultCache(tmp_path)
+        assert cache.path_for(key) == ResultCache(tmp_path).path_for(key)
+        assert cache.path_for(key) == tmp_path / key[:2] / f"{key}.pkl"
 
     def test_rejects_bad_parameters(self, tmp_path):
-        with pytest.raises(ValueError, match="shards"):
-            ShardedResultCache(tmp_path, shards=7)
-        with pytest.raises(ValueError, match="hot-set"):
-            ShardedResultCache(tmp_path, hot_set=-1)
-        with pytest.raises(ValueError, match="write-behind"):
-            ShardedResultCache(tmp_path, write_behind=-2)
+        # The retired fan-out, hot-set and write-behind knobs are gone.
+        for knob in ("shards", "hot_set", "write_behind"):
+            with pytest.raises(TypeError, match=knob):
+                ShardedResultCache(tmp_path, **{knob: 16})
 
     def test_round_trip_lands_in_shard(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, hot_set=0)
+        cache = ShardedResultCache(tmp_path)
         key = _key(1)
         cache.put(_negative(key))
         assert cache.path_for(key).exists()
-        got = cache.get(key)
+        got = ShardedResultCache(tmp_path).get(key)  # a cold hot set: disk
         assert got is not None and got.key == key
 
-    def test_legacy_read_through_migrates(self, tmp_path):
-        # An entry written by the legacy two-hex-digit ResultCache is
-        # found by a 4096-shard cache, served, and migrated to the new
-        # width — the legacy file stays behind as evidence.
-        legacy = ResultCache(tmp_path)
+    def test_retired_layouts_are_not_read(self, tmp_path):
+        # An entry a retired --cache-shards value wrote (flat, one- or
+        # three-hex fan-out) is a plain miss: not served, not counted
+        # corrupt, not copied into the layout.
         key = _key(2)
-        legacy.put(_negative(key))
-        cache = ShardedResultCache(tmp_path, shards=4096, hot_set=0)
-        got = cache.get(key)
-        assert got is not None and got.key == key
-        assert cache.legacy_hits == 1
-        assert cache.path_for(key).exists()  # migrated copy (3-char shard)
-        assert legacy.path_for(key).exists()  # original untouched
-        # The next read is a native hit, not a legacy one.
-        assert cache.get(key) is not None
-        assert cache.legacy_hits == 1
+        for retired in (
+            tmp_path / f"{key}.pkl",
+            tmp_path / key[:1] / f"{key}.pkl",
+            tmp_path / key[:3] / f"{key}.pkl",
+        ):
+            retired.parent.mkdir(parents=True, exist_ok=True)
+            retired.write_bytes(pickle.dumps(_negative(key)))
+        cache = ShardedResultCache(tmp_path)
+        assert cache.get(key) is None
+        assert cache.corrupt == 0
+        assert not cache.path_for(key).exists()
 
     def test_hot_set_serves_without_disk(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, hot_set=4)
+        cache = ShardedResultCache(tmp_path)
         key = _key(3)
         cache.put(_negative(key))
         cache.path_for(key).unlink()  # only the hot set can serve it now
@@ -133,42 +129,36 @@ class TestShardedCache:
         assert cache.hot_hits >= 1
 
     def test_hot_set_zero_reads_disk_every_time(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, hot_set=0)
+        # The engine's own cache has no hot set: a get after the entry is
+        # gone from disk is a miss.
+        engine = engine_from_config(harness_config(environ={}, cache_dir=str(tmp_path)))
         key = _key(4)
-        cache.put(_negative(key))
-        assert cache.get(key) is not None
-        cache.path_for(key).unlink()
-        assert cache.get(key) is None  # identical to legacy semantics
+        engine.cache.put(_negative(key))
+        assert engine.cache.get(key) is not None
+        engine.cache.path_for(key).unlink()
+        assert engine.cache.get(key) is None
 
     def test_hot_set_is_bounded(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, hot_set=2)
-        keys = [_key(i) for i in range(5)]
+        cache = ShardedResultCache(tmp_path)
+        keys = [_key(i) for i in range(HOT_SET + 5)]
         for key in keys:
             cache.put(_negative(key))
-        assert len(cache._hot) <= 2
+        assert list(cache._hot) == keys[-HOT_SET:]
+        assert cache.get(keys[-HOT_SET]) is not None  # refreshes its recency
+        cache.put(_negative(_key(-1)))
+        assert keys[-HOT_SET] in cache._hot and keys[-HOT_SET + 1] not in cache._hot
 
-    def test_write_behind_buffers_until_flush(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, write_behind=10)
+    def test_put_writes_through_and_flush_is_a_noop(self, tmp_path):
+        cache = ShardedResultCache(tmp_path)
         key = _key(5)
         cache.put(_negative(key))
-        assert not cache.path_for(key).exists()
-        assert cache.pending == 1
-        assert cache.get(key) is not None  # buffered entries still serve
-        assert cache.flush() == 1
-        assert cache.path_for(key).exists()
-        assert cache.pending == 0
-
-    def test_write_behind_flushes_at_threshold(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, write_behind=3)
-        keys = [_key(i) for i in range(3)]
-        for key in keys:
-            cache.put(_negative(key))
-        assert cache.pending == 0
-        for key in keys:
-            assert cache.path_for(key).exists()
+        assert cache.path_for(key).exists()  # on disk before any flush
+        before = sorted(tmp_path.rglob("*"))
+        assert cache.flush() is None
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_corrupt_entry_counts_as_miss(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, hot_set=0)
+        cache = ShardedResultCache(tmp_path)
         key = _key(6)
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -177,57 +167,67 @@ class TestShardedCache:
         assert cache.corrupt == 1
 
     def test_wrong_key_entry_is_corrupt(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, hot_set=0)
+        cache = ShardedResultCache(tmp_path)
         key, other = _key(7), _key(8)
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        import pickle
-
         path.write_bytes(pickle.dumps(_negative(other)))
         assert cache.get(key) is None
         assert cache.corrupt == 1
 
     def test_concurrent_writers_never_corrupt(self, tmp_path):
         # N threads hammering overlapping keys: every entry readable
-        # afterwards, zero corruption — the mkstemp + os.replace contract.
-        cache = ShardedResultCache(tmp_path, shards=16, hot_set=0)
+        # afterwards, zero corruption — the mkstemp + os.replace contract
+        # — and, with a short switch interval, no lost hot-set update.
+        cache = ShardedResultCache(tmp_path)
         keys = [_key(i) for i in range(20)]
 
         def writer(offset: int) -> None:
             for key in keys[offset:] + keys[:offset]:
                 cache.put(_negative(key))
+                cache.get(key)  # always a hot hit: 20 keys fit the hot set
 
-        threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        reader = ShardedResultCache(tmp_path, shards=16, hot_set=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert cache.hot_hits == 8 * len(keys)
+        assert sorted(cache._hot) == sorted(keys)
+        reader = ResultCache(tmp_path)
         assert all(reader.get(key) is not None for key in keys)
         assert reader.corrupt == 0
-
-    def test_shard_choices_exported(self):
-        assert SHARD_CHOICES == (1, 16, 256, 4096)
 
 
 class TestDoctorBothLayouts:
     def test_scan_counts_every_layout_once(self, tmp_path):
-        # One healthy entry per layout width plus one corrupt file:
-        # scanned == 5, nothing double-counted.
-        for shards in SHARD_CHOICES:
-            cache = ShardedResultCache(tmp_path, shards=shards, hot_set=0)
-            cache.put(_negative(_key(shards)))
+        # One healthy entry in each layout a cache root ever held (flat,
+        # one-, two- and three-hex fan-out) plus one torn file: scanned
+        # == 5, nothing double-counted, and only the entry where
+        # ResultCache.path_for puts it is healthy.
+        for width in (0, 1, 2, 3):
+            key = _key(width)
+            path = tmp_path / key[:width] / f"{key}.pkl"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pickle.dumps(_negative(key)))
         bad = tmp_path / "ab" / (_key(99) + ".pkl")
         bad.parent.mkdir(parents=True, exist_ok=True)
         bad.write_bytes(b"rot")
-        scan = scan_cache(tmp_path, quarantine=False)
+        scan = scan_cache(tmp_path, quarantine=True)
         assert scan.scanned == 5
-        assert scan.healthy == 4
+        assert scan.healthy == 1
+        assert scan.misplaced == 3
         assert scan.corrupt == 1
+        assert scan.quarantined == 4
+        assert ResultCache(tmp_path).get(_key(2)) is not None
 
     def test_wrong_shard_prefix_is_misplaced(self, tmp_path):
-        import pickle
-
         key = _key(10)
         wrong = tmp_path / "00" / f"{key}.pkl"
         assert not key.startswith("00")
@@ -239,7 +239,7 @@ class TestDoctorBothLayouts:
         assert not wrong.exists()
 
     def test_quarantine_not_rescanned(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=256, hot_set=0)
+        cache = ShardedResultCache(tmp_path)
         path = cache.path_for(_key(11))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"rot")
@@ -387,7 +387,7 @@ class TestServiceHTTP:
         health = client.health()
         assert health["status"] == "healthy"
         assert health["workers"] == 1
-        assert set(health["cache"]) == {"corrupt", "hot_hits", "legacy_hits", "shards"}
+        assert set(health["cache"]) == {"corrupt", "hot_hits"}
         assert "service.queue.depth" in client.metrics()
 
     def test_submit_rejects_bad_specs(self, client):
@@ -656,21 +656,15 @@ class TestBitIdentity:
 class TestServeConfig:
     def test_env_parsing(self):
         config = harness_config(
-            environ={
-                "CHOPIN_SERVE_HOST": "0.0.0.0",
-                "CHOPIN_SERVE_PORT": "9001",
-                "CHOPIN_CACHE_SHARDS": "16",
-            }
+            environ={"CHOPIN_SERVE_HOST": "0.0.0.0", "CHOPIN_SERVE_PORT": "9001"}
         )
         assert config.serve_host == "0.0.0.0"
         assert config.serve_port == 9001
-        assert config.cache_shards == 16
 
     def test_defaults(self):
         config = harness_config(environ={})
         assert config.serve_host == "127.0.0.1"
         assert config.serve_port == 8642
-        assert config.cache_shards == 256
 
     def test_flag_beats_env(self):
         config = harness_config(
@@ -685,24 +679,43 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="CHOPIN_SERVE_PORT"):
             harness_config(environ={"CHOPIN_SERVE_PORT": "70000"})
 
-    def test_bad_shards_names_variable_and_choices(self):
-        with pytest.raises(ValueError, match="CHOPIN_CACHE_SHARDS") as info:
-            harness_config(environ={"CHOPIN_CACHE_SHARDS": "7"})
-        message = str(info.value)
-        assert "1, 16, 256, or 4096" in message
-        with pytest.raises(ValueError, match="CHOPIN_CACHE_SHARDS"):
-            harness_config(environ={"CHOPIN_CACHE_SHARDS": "many"})
-
-    def test_engine_from_config_builds_sharded_cache(self, tmp_path):
-        from repro.harness.config import engine_from_config
-
-        config = harness_config(
-            environ={}, cache_dir=str(tmp_path), cache_shards=16
+    def test_cache_shards_is_an_accepted_noop(self, tmp_path, capsys, monkeypatch):
+        # Flag and variable are accepted for any N, change nothing, and
+        # print exactly one deprecation line naming the one layout.
+        notice = (
+            "chopin: {} is deprecated and ignored; the result cache has one "
+            "layout, <cache-dir>/<key[:2]>/<key>.pkl, and chopin doctor "
+            "quarantines entries found anywhere else"
         )
-        engine = engine_from_config(config)
-        assert isinstance(engine.cache, ShardedResultCache)
-        assert engine.cache.shards == 16
-        assert engine.cache.hot_set == 0  # legacy read semantics preserved
+        built = []
+
+        class Service:
+            def __init__(self, config, state_dir, workers):
+                built.append(config)
+
+            def run(self):
+                return 0
+
+        monkeypatch.setattr("repro.harness.cli.service_from_config", Service)
+        serve = ["serve", "--state-dir", str(tmp_path / "state")]
+        plain = harness_config(environ={})
+        assert cli_main(serve) == 0
+        assert capsys.readouterr().err == ""
+        for shards in ("7", "16", "256"):
+            assert harness_config(environ={"CHOPIN_CACHE_SHARDS": shards}) == plain
+            assert capsys.readouterr().err.splitlines() == [
+                notice.format("CHOPIN_CACHE_SHARDS")
+            ]
+            assert cli_main(serve + ["--cache-shards", shards]) == 0
+            assert capsys.readouterr().err.splitlines() == [
+                notice.format("--cache-shards")
+            ]
+        assert all(config == built[0] for config in built) and len(built) == 4
+
+    def test_engine_from_config_builds_result_cache(self, tmp_path):
+        engine = engine_from_config(harness_config(environ={}, cache_dir=str(tmp_path)))
+        assert type(engine.cache) is ResultCache
+        assert engine.cache.root == tmp_path
 
     def test_engine_rejects_cache_dir_plus_cache(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
